@@ -1,8 +1,10 @@
 """Cheeger constant of convex polygons and the small-p rigidity trend.
 
 For a planar convex body the Cheeger problem is solved by an inner
-parallel set rounded by a disk: h = 1/r* where r* is the unique root of
-area(erode(poly, r)) = pi r^2. The module also tracks how the normalized
+parallel set rounded by a disk (Kawohl & Lachand-Robert, Pacific J. Math.
+225, 2006): h = 1/r* where r* is the unique root of
+area(erode(poly, r)) = pi r^2, found in closed form on one piece of the
+polygon's erosion schedule. The module also tracks how the normalized
 rigidity approaches h as p decreases toward 1.
 """
 
@@ -12,11 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidDomainError
-from .geometry import ConvexPolygon, erode, _eroded_area
+from .geometry import ConvexPolygon, erode
 from .ptorsion import SolverOptions, rigidity_with_refinement
 from .functionals import normalized_rigidity
-
-BISECTION_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -28,20 +28,20 @@ class CheegerResult:
 
 
 def cheeger_constant(poly: ConvexPolygon) -> CheegerResult:
-    """Cheeger constant via bisection on area(erode(r)) - pi r^2.
+    """Cheeger constant from the root r* of area(erode(r)) - pi r^2.
 
     The function is strictly decreasing from area > 0 at r = 0 to a
-    negative value at r = inradius, so the root exists and is unique.
+    negative value at r = inradius, so the root exists and is unique. On
+    the erosion-schedule piece where it changes sign it is the quadratic
+    c - b s + a s^2 in s = r - start, with c > 0 and b > 0, whose root in
+    the piece is s = 2c / (b + sqrt(b^2 - 4ac)).
     """
-    r_in = poly.inradius
-    lo, hi = 0.0, r_in
-    while hi - lo > BISECTION_RTOL * r_in:
-        mid = 0.5 * (lo + hi)
-        if _eroded_area(poly, mid) - math.pi * mid * mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r_star = 0.5 * (lo + hi)
+    piece = next(pc for pc in poly.erosion_schedule if pc.area_at(pc.end) <= math.pi * pc.end**2)
+    t0 = piece.start
+    a = piece.curvature - math.pi
+    b = piece.perimeter + 2.0 * math.pi * t0
+    c = piece.area - math.pi * t0 * t0
+    r_star = t0 + 2.0 * c / (b + math.sqrt(max(b * b - 4.0 * a * c, 0.0)))
     core = erode(poly, r_star)
     if core is None:
         raise InvalidDomainError("cheeger core collapsed; polygon is degenerate")

@@ -372,7 +372,7 @@ def build_parser() -> _Parser:
     pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(func=cmd_verify)
 
-    pc = sub.add_parser("cheeger", help="small-p limit constant by erosion bisection")
+    pc = sub.add_parser("cheeger", help="small-p limit constant from the exact erosion schedule")
     common(pc)
     pc.set_defaults(func=cmd_cheeger)
 

@@ -36,7 +36,7 @@ from .geometry import (
     random_convex_polygon,
     scale,
 )
-from .ptorsion import RigidityEstimate, SolverOptions, rigidity_with_refinement
+from .ptorsion import P_MAX_SUPPORTED, RigidityEstimate, SolverOptions, rigidity_with_refinement
 
 FAMILIES = ("rectangles", "ellipses", "triangles", "random")
 NORMALIZATIONS = ("none", "by_inradius", "by_avg_distance")
@@ -95,8 +95,8 @@ class FamilySweepConfig:
         if self.family == "random" and self.count <= 0:
             raise ValueError("random sweeps need a positive count")
         for p in self.p_grid:
-            if not 1.0 < p <= 32.0:
-                raise ValueError(f"p_grid entries must lie in (1, 32], got {p}")
+            if not 1.0 < p <= P_MAX_SUPPORTED:
+                raise ValueError(f"p_grid entries must lie in (1, {P_MAX_SUPPORTED:g}], got {p}")
 
 
 def _family_members(config: FamilySweepConfig):

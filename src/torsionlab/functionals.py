@@ -161,11 +161,11 @@ def corridor_verdicts(
     return out
 
 
-def saint_venant_gap(poly: ConvexPolygon, p: float, t_p_value: float) -> float:
-    """T_p(ball of equal area) - T_p(poly); nonnegative up to solver slack."""
+def saint_venant_gap(area: float, p: float, t_p_value: float) -> float:
+    """T_p(ball of the given area) - T_p; nonnegative up to solver slack."""
     if t_p_value <= 0.0:
         raise InvalidDomainError("saint_venant_gap needs a positive torsion integral")
-    radius = math.sqrt(poly.area / math.pi)
+    radius = math.sqrt(area / math.pi)
     return ball_torsion_integral(p, 2, radius) - t_p_value
 
 
@@ -374,7 +374,7 @@ def build_shape_report(
 
 def _entry_from_estimate(report: ShapeReport, p: float, est: RigidityEstimate) -> RigidityEntry:
     t_norm = normalized_rigidity(est.t_p, report.area, p)
-    sv = saint_venant_gap_from_measures(report.area, p, est.t_p)
+    sv = saint_venant_gap(report.area, p, est.t_p)
     sv_ref = ball_torsion_integral(p, 2, math.sqrt(report.area / math.pi))
     verdicts = corridor_verdicts(
         p,
@@ -402,11 +402,6 @@ def _entry_from_estimate(report: ShapeReport, p: float, est: RigidityEstimate) -
         sv_gap=sv,
         verdicts=verdicts,
     )
-
-
-def saint_venant_gap_from_measures(area: float, p: float, t_p_value: float) -> float:
-    radius = math.sqrt(area / math.pi)
-    return ball_torsion_integral(p, 2, radius) - t_p_value
 
 
 # -- 9-significant-digit serialization --------------------------------------
@@ -449,24 +444,11 @@ def dumps_9g(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return f"{float(obj):.9g}"
+    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+        return format_value(obj)
     if isinstance(obj, str):
         import json
 
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
-
-def write_csv(path, rows: list[dict], columns: list[str]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_value(row.get(col)) for col in columns])

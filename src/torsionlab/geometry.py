@@ -2,8 +2,8 @@
 
 Provides the polygon type with its measures (area, perimeter, diameter),
 the inradius via a Chebyshev-center linear program, the distance-to-boundary
-function, inward erosion (inner parallel bodies), the exact average distance
-to the boundary via layer-cake integration, and deterministic random
+function, the exact erosion schedule of the inner parallel bodies with the
+average distance to the boundary it integrates, and deterministic random
 polygon samplers.
 
 All computations run in coordinates translated to the vertex centroid so
@@ -29,6 +29,10 @@ from .errors import InvalidDomainError, SamplingError
 # consecutive cross product must exceed CONVEXITY_RTOL * diameter^2.
 SEPARATION_RTOL = 1e-12
 CONVEXITY_RTOL = 1e-12
+
+# An edge of an eroded body counts as vanished once its length is at most
+# EROSION_RTOL * diameter.
+EROSION_RTOL = 1e-14
 
 
 def _as_vertex_array(vertices) -> np.ndarray:
@@ -68,6 +72,27 @@ def _validate_convex_ccw(v: np.ndarray) -> None:
             f"vertex triple ({i}, {j}, {k}) violates strict convexity / "
             f"counter-clockwise order: cross product {cross[i]:.6e} at points {pts}"
         )
+
+
+@dataclass(frozen=True)
+class ErosionPiece:
+    """Offsets [start, end] over which the eroded body keeps its `edges`.
+
+    There area(erode(poly, t)) = area - perimeter s + curvature s^2 with
+    s = t - start, curvature being the sum of tan(a/2) over the turn angles
+    a at the body's vertices.
+    """
+
+    start: float
+    end: float
+    area: float
+    perimeter: float
+    curvature: float
+    edges: np.ndarray
+
+    def area_at(self, t: float) -> float:
+        s = t - self.start
+        return self.area - s * (self.perimeter - s * self.curvature)
 
 
 class ConvexPolygon:
@@ -196,6 +221,61 @@ class ConvexPolygon:
     def incenter(self) -> np.ndarray:
         return self._inradius_center[1]
 
+    # -- inner parallel bodies ---------------------------------------------
+
+    @cached_property
+    def erosion_schedule(self) -> tuple[ErosionPiece, ...]:
+        """Exact area of the body eroded by t, for t in [0, inradius].
+
+        Every edge line moves inward at unit speed, so an edge shrinks at a
+        constant rate until it vanishes. The offsets where edges vanish are
+        the straight-skeleton events of the polygon (Aichholzer et al.,
+        J.UCS 1995); they cut [0, inradius] into pieces on which the area
+        is quadratic. Edges that vanish at the same event leave together.
+        """
+        normals, _ = self._edge_lines
+        e = np.roll(self._centered, -1, axis=0) - self._centered
+        lengths = np.hypot(e[:, 0], e[:, 1])
+        edges = np.arange(len(lengths))
+        tol = EROSION_RTOL * self.diameter
+        r_in = self.inradius
+        start, area = 0.0, self.area
+        pieces = []
+        while True:
+            na = normals[edges]
+            nb = np.roll(na, -1, axis=0)
+            # tan of half the turn angle a at the vertex that ends each edge.
+            # Past a = pi/2 sin a / (1 + cos a) cancels, and so does any form
+            # through a itself at needle-sharp vertices; (1 - cos a) / sin a
+            # keeps the digits.
+            sin = na[:, 0] * nb[:, 1] - na[:, 1] * nb[:, 0]
+            cos = np.einsum("ij,ij->i", na, nb)
+            tan_half = np.where(cos >= 0.0, sin / (1.0 + cos), (1.0 - cos) / sin)
+            rates = tan_half + np.roll(tan_half, 1)
+            life = lengths / rates
+            step = float(np.min(life))
+            left = lengths - rates * step
+            alive = left > tol
+            alive[np.argmin(life)] = False  # so every pass removes an edge
+            end = start + step
+            last = end >= r_in or np.count_nonzero(alive) < 3
+            perimeter, curvature = float(np.sum(lengths)), float(np.sum(tan_half))
+            piece = ErosionPiece(start, r_in if last else end, area, perimeter, curvature, edges)
+            pieces.append(piece)
+            if last:
+                break
+            start, area = end, piece.area_at(end)
+            edges, lengths = edges[alive], left[alive]
+        # scale, translate and erode skip validation; a polygon that is not
+        # convex and counter-clockwise does not erode to nothing here
+        rest = pieces[-1].area_at(r_in)
+        if not abs(rest) <= 1e-9 * self.area:
+            raise InvalidDomainError(
+                f"eroded area {rest:.3e} is left at the inradius {r_in:.9g}: the polygon "
+                "is not convex and counter-clockwise, or its inradius is inaccurate"
+            )
+        return tuple(pieces)
+
 
 # -- constructors -----------------------------------------------------------
 
@@ -310,104 +390,15 @@ def translate(poly: ConvexPolygon, shift) -> ConvexPolygon:
 # -- inward erosion ---------------------------------------------------------
 
 
-def _clip_halfplanes(normals: np.ndarray, offsets: np.ndarray, seed_box: float):
-    """Reference half-plane intersection by successive polygon clipping.
-
-    Slow fallback; starts from a bounding box and clips by every line.
-    Returns the vertex array or None when the intersection is empty.
-    """
-    s = seed_box
-    poly = [(-s, -s), (s, -s), (s, s), (-s, s)]
-    for k in range(len(offsets)):
-        nx, ny = normals[k]
-        c = offsets[k]
-        out = []
-        m = len(poly)
-        if m == 0:
-            return None
-        for i in range(m):
-            a = poly[i]
-            b = poly[(i + 1) % m]
-            da = nx * a[0] + ny * a[1] - c
-            db = nx * b[0] + ny * b[1] - c
-            if da <= 0.0:
-                out.append(a)
-            if (da < 0.0 < db) or (db < 0.0 < da):
-                t = da / (da - db)
-                out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-        poly = out
-    if len(poly) < 3:
-        return None
-    return np.asarray(poly)
-
-
-def _active_halfplanes(normals: np.ndarray, offsets: np.ndarray, scale_len: float):
-    """Vertices of the intersection of half-planes N.x <= c.
-
-    The normals come from one convex polygon (sorted by angle), so the
-    intersection is found by repeatedly discarding edges whose chord between
-    neighbouring lines has non-positive length. Edges of a convex body
-    always measure at least their true length against a superset of active
-    lines, so discarded lines are genuinely redundant. A final containment
-    check guards the degenerate paths and falls back to successive clipping.
-
-    Returns (active_indices, vertices) or None when empty.
-    """
-    n = len(offsets)
-    active = np.arange(n)
-    len_tol = 1e-14 * scale_len
-    while active.size >= 3:
-        na = normals[active]
-        ca = offsets[active]
-        nb = np.roll(na, -1, axis=0)
-        cb = np.roll(ca, -1)
-        det = na[:, 0] * nb[:, 1] - na[:, 1] * nb[:, 0]
-        if np.any(det <= 1e-14):
-            verts = _clip_halfplanes(normals, offsets, 4.0 * scale_len)
-            if verts is None:
-                return None
-            return _indices_for_vertices(normals, offsets, verts, scale_len), verts
-        # vertex between consecutive active lines k and k+1
-        x = (ca * nb[:, 1] - cb * na[:, 1]) / det
-        y = (na[:, 0] * cb - nb[:, 0] * ca) / det
-        ends = np.stack([x, y], axis=1)
-        starts = np.roll(ends, 1, axis=0)
-        tangents = np.stack([-na[:, 1], na[:, 0]], axis=1)
-        lengths = np.einsum("ij,ij->i", ends - starts, tangents)
-        bad = lengths <= len_tol
-        if not bad.any():
-            # verify that removed lines contain every vertex (catches any
-            # over-removal); extremely rare, handled by the clip fallback
-            removed = np.setdiff1d(np.arange(n), active, assume_unique=True)
-            if removed.size:
-                viol = normals[removed] @ ends.T - offsets[removed][:, None]
-                if float(np.max(viol)) > 1e-9 * scale_len:
-                    verts = _clip_halfplanes(normals, offsets, 4.0 * scale_len)
-                    if verts is None:
-                        return None
-                    return _indices_for_vertices(normals, offsets, verts, scale_len), verts
-            return active, ends
-        active = active[~bad]
-    return None
-
-
-def _indices_for_vertices(normals, offsets, verts, scale_len):
-    touch = np.abs(normals @ verts.T - offsets[:, None]) <= 1e-9 * scale_len
-    counts = touch.sum(axis=1)
-    return np.flatnonzero(counts >= 2)
-
-
-def _erode_lines(poly: ConvexPolygon, t: float):
-    normals, offsets = poly._edge_lines
-    return _active_halfplanes(normals, offsets - t, poly.diameter)
-
-
 def erode(poly: ConvexPolygon, t: float):
     """Inner parallel body: intersection of edge half-planes offset by t.
 
-    Returns a ConvexPolygon, or None (empty) when t >= inradius. The result
-    can contain edges shorter than the strict construction tolerance, so it
-    skips revalidation.
+    Returns a ConvexPolygon, or None (empty) when t >= inradius. Its
+    vertices are the crossings of consecutive edge lines that the erosion
+    schedule keeps at t. An edge about to vanish can come out with a
+    negative length through rounding, so edges no longer than the
+    tolerance are dropped. The result can contain edges shorter than the
+    strict construction tolerance, so it skips revalidation.
     """
     if t < 0.0:
         raise InvalidDomainError("erosion offset must be nonnegative")
@@ -415,71 +406,39 @@ def erode(poly: ConvexPolygon, t: float):
         return poly
     if t >= poly.inradius:
         return None
-    res = _erode_lines(poly, t)
-    if res is None:
-        return None
-    _, verts = res
-    return ConvexPolygon(verts + poly._center, validate=False)
-
-
-def _eroded_area(poly: ConvexPolygon, t: float) -> float:
-    if t >= poly.inradius:
-        return 0.0
-    res = _erode_lines(poly, t)
-    if res is None:
-        return 0.0
-    _, w = res
-    x, y = w[:, 0], w[:, 1]
-    return max(float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)), 0.0)
-
-
-def _eroded_edge_count(poly: ConvexPolygon, t: float) -> int:
-    if t >= poly.inradius:
-        return 0
-    res = _erode_lines(poly, t)
-    return 0 if res is None else len(res[0])
+    normals, offsets = poly._edge_lines
+    edges = next(pc for pc in poly.erosion_schedule if t < pc.end).edges
+    while edges.size >= 3:
+        na, ca = normals[edges], offsets[edges] - t
+        nb, cb = np.roll(na, -1, axis=0), np.roll(ca, -1)
+        det = na[:, 0] * nb[:, 1] - na[:, 1] * nb[:, 0]
+        x = (ca * nb[:, 1] - cb * na[:, 1]) / det
+        y = (na[:, 0] * cb - nb[:, 0] * ca) / det
+        # edge k runs from vertex k-1 to vertex k along (-n_y, n_x)
+        lengths = (x - np.roll(x, 1)) * -na[:, 1] + (y - np.roll(y, 1)) * na[:, 0]
+        short = lengths <= EROSION_RTOL * poly.diameter
+        if not short.any():
+            return ConvexPolygon(np.stack([x, y], axis=1) + poly._center, validate=False)
+        edges = edges[~short]
+    return None
 
 
 def average_distance(poly: ConvexPolygon) -> float:
     """Mean distance to the boundary over the polygon.
 
     Uses the layer-cake identity: the integral of the distance function is
-    the integral over t of area(erode(poly, t)). Between edge-vanishing
-    offsets the eroded area is a quadratic in t, so a Simpson rule per piece
-    integrates it exactly. The event offsets are located by bisection on
-    the eroded edge count.
+    the integral over t in [0, inradius] of area(erode(poly, t)). On each
+    piece [a, b] of the erosion schedule that area is a quadratic q, whose
+    integral is exactly (b - a) (q(a) + 4 q((a + b) / 2) + q(b)) / 6. This
+    form adds nonnegative areas where the expanded A s - P s^2/2 + C s^3/3
+    cancels, and the body vanishes at the inradius, so the last q(b) is 0.
     """
-    r = poly.inradius
-    tol = 1e-12 * r
-    events: list[float] = []
-
-    def locate(t0: float, m0: int, t1: float, m1: int) -> None:
-        # all edge-count breakpoints inside (t0, t1]
-        if m0 == m1:
-            return
-        if t1 - t0 <= tol:
-            events.append(t1)
-            return
-        tm = 0.5 * (t0 + t1)
-        mm = _eroded_edge_count(poly, tm)
-        locate(t0, m0, tm, mm)
-        locate(tm, mm, t1, m1)
-
-    locate(0.0, len(poly.vertices), r, 0)
-    cuts = [0.0]
-    for e in sorted(events):
-        if e - cuts[-1] > tol:
-            cuts.append(e)
-    if r - cuts[-1] > tol:
-        cuts.append(r)
-    else:
-        cuts[-1] = r
+    schedule = poly.erosion_schedule
+    end_areas = [pc.area for pc in schedule[1:]] + [0.0]
     total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        fa = _eroded_area(poly, a)
-        fm = _eroded_area(poly, 0.5 * (a + b))
-        fb = _eroded_area(poly, b)
-        total += (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    for pc, end_area in zip(schedule, end_areas):
+        mid_area = pc.area_at(0.5 * (pc.start + pc.end))
+        total += (pc.end - pc.start) / 6.0 * (pc.area + 4.0 * mid_area + end_area)
     return total / poly.area
 
 

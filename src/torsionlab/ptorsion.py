@@ -397,6 +397,10 @@ def prolong(coarse_u: np.ndarray, fine: Mesh) -> np.ndarray:
 # -- nonlinear solve --------------------------------------------------------
 
 
+# Solves and family sweeps accept p in (1, P_MAX_SUPPORTED].
+P_MAX_SUPPORTED = 32.0
+
+
 def _default_schedule():
     return tuple(10.0**-k for k in range(2, 11))
 
@@ -406,7 +410,6 @@ class SolverOptions:
     tol_energy: float = 1e-10
     max_iters: int = 500
     epsilon_schedule: tuple = field(default_factory=_default_schedule)
-    p_max_supported: float = 32.0
 
     def __post_init__(self):
         if self.tol_energy <= 0.0:
@@ -461,8 +464,8 @@ def solve_p_torsion(
     convergence is only declared on the final level.
     """
     opts = opts or SolverOptions()
-    if not (1.0 < p <= opts.p_max_supported):
-        raise ValueError(f"p must lie in (1, {opts.p_max_supported}], got {p}")
+    if not (1.0 < p <= P_MAX_SUPPORTED):
+        raise ValueError(f"p must lie in (1, {P_MAX_SUPPORTED}], got {p}")
     interior = mesh.interior_index
     if interior.size == 0:
         raise MeshResourceError("mesh has no interior nodes; decrease h_target")

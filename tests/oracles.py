@@ -171,3 +171,41 @@ def monte_carlo_average_distance(
         total += float(_edge_distances(take, vertices).sum())
         count += len(take)
     return total / count
+
+
+def clipped_eroded_body(vertices: np.ndarray, t: float) -> np.ndarray:
+    """Vertices of a counterclockwise convex polygon eroded by t.
+
+    The inner parallel body is the polygon clipped, one edge at a time, by
+    the half-plane on the inner side of that edge's line moved inward by t
+    (Sutherland-Hodgman). Returns an empty array when nothing is left.
+    """
+    n = len(vertices)
+    body = [tuple(v) for v in vertices]
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        length = math.hypot(b[0] - a[0], b[1] - a[1])
+
+        def depth(q):
+            # distance of q inside the edge line, minus t
+            return ((b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])) / length - t
+
+        out = []
+        for j in range(len(body)):
+            p, q = body[j], body[(j + 1) % len(body)]
+            dp, dq = depth(p), depth(q)
+            if dp >= 0.0:
+                out.append(p)
+            if (dp < 0.0 < dq) or (dq < 0.0 < dp):
+                s = dp / (dp - dq)
+                out.append((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])))
+        body = out
+        if len(body) < 3:
+            return np.empty((0, 2))
+    return np.array(body)
+
+
+def shoelace_area(vertices: np.ndarray) -> float:
+    """Signed area of a polygon, positive for counterclockwise vertices."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))

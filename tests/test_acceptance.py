@@ -30,7 +30,7 @@ from torsionlab.functionals import (
     build_shape_report,
     normalized_rigidity,
     q_functional,
-    saint_venant_gap_from_measures,
+    saint_venant_gap,
 )
 from torsionlab.ptorsion import rigidity_with_refinement
 
@@ -270,7 +270,7 @@ def test_criterion_11_saint_venant():
                 failures.append((report.shape_id, entry.p))
     disk = make_regular_ngon(64, 1.0)
     est = rigidity_with_refinement(disk, 2.0, levels=3)
-    gap_rel = saint_venant_gap_from_measures(disk.area, 2.0, est.t_p) / est.t_p
+    gap_rel = saint_venant_gap(disk.area, 2.0, est.t_p) / est.t_p
     print(
         f"CRITERION 11: {len(reports) * 3} gap checks, {len(failures)} failures; "
         f"disk gap {gap_rel:+.1e} within slack {est.slack:.1e}"

@@ -41,6 +41,14 @@ def test_cheeger_scaling():
         assert np.isclose(cheeger_constant(scale(poly, t)).h, base / t, rtol=1e-10)
 
 
+def test_cheeger_residual_random_polygons():
+    # r_star solves area(erode(poly, r)) = pi r^2 to rounding
+    for seed in range(20):
+        poly = random_convex_polygon(seed, 6 + seed)
+        res = cheeger_constant(poly)
+        assert res.residual <= 1e-12 * poly.area, (seed, res.residual)
+
+
 def test_cheeger_upper_bound_perimeter_over_area():
     # h <= P/A for convex sets (the whole set is an admissible competitor)
     for seed in range(6):

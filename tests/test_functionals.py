@@ -22,7 +22,7 @@ from torsionlab.functionals import (
     dumps_9g,
     format_value,
     report_csv_rows,
-    saint_venant_gap_from_measures,
+    saint_venant_gap,
 )
 
 SQUARE = make_rectangle(1.0, 0.5)
@@ -101,7 +101,7 @@ def test_verdict_order_stable():
 
 
 def test_corridor_verdicts_square_pass():
-    sv = saint_venant_gap_from_measures(1.0, 2.0, oracles.SQUARE_T2)
+    sv = saint_venant_gap(1.0, 2.0, oracles.SQUARE_T2)
     verdicts = corridor_verdicts(
         2.0,
         1.0,
@@ -129,7 +129,7 @@ def test_corridor_verdicts_fail_when_rigidity_too_small():
 
 def test_saint_venant_gap_square():
     # disk value pi area^2 / (8 pi^2)... for |O| = 1: 1/(8 pi) minus T_2
-    gap = saint_venant_gap_from_measures(1.0, 2.0, oracles.SQUARE_T2)
+    gap = saint_venant_gap(1.0, 2.0, oracles.SQUARE_T2)
     assert np.isclose(gap, 1.0 / (8.0 * math.pi) - oracles.SQUARE_T2, rtol=1e-12)
     assert gap > 0.0
 
@@ -137,7 +137,7 @@ def test_saint_venant_gap_square():
 def test_saint_venant_gap_disk_near_zero():
     # the disk itself: gap vanishes up to polygonal approximation
     disk = make_regular_ngon(64, 1.0)
-    gap = saint_venant_gap_from_measures(disk.area, 2.0, math.pi / 8.0 * (disk.area / math.pi) ** 2)
+    gap = saint_venant_gap(disk.area, 2.0, math.pi / 8.0 * (disk.area / math.pi) ** 2)
     assert abs(gap) / (math.pi / 8.0) < 5e-3
 
 

@@ -152,6 +152,29 @@ def test_erode_zero_identity():
     assert np.isclose(inner.area, poly.area, rtol=1e-12)
 
 
+def test_erode_matches_clipping_oracle():
+    # random offsets, and offsets just either side of every schedule event,
+    # where the eroded body loses edges
+    polys = [random_convex_polygon(seed, 8 + seed) for seed in range(20)]
+    polys.append(make_ellipse_polygon(1000.0, 1.0, 128))
+    rng = np.random.default_rng(0)
+    for poly in polys:
+        events = [piece.end for piece in poly.erosion_schedule[:-1]]
+        offsets = list(rng.uniform(0.0, poly.inradius, 5))
+        offsets += [e * (1.0 + d) for e in events for d in (-1e-9, 1e-9)]
+        for t in offsets:
+            ref = oracles.clipped_eroded_body(poly.vertices, t)
+            inner = erode(poly, t)
+            assert len(inner.vertices) == len(ref), (t, poly)
+            assert abs(inner.area - oracles.shoelace_area(ref)) <= 1e-13 * poly.area, (t, poly)
+
+
+def test_erosion_rejects_unvalidated_nonconvex_polygon():
+    dart = ConvexPolygon([(0.0, 0.0), (2.0, 0.0), (1.0, 1.5), (1.0, 0.5)], validate=False)
+    with pytest.raises(InvalidDomainError):
+        average_distance(dart)
+
+
 def test_random_polygon_reproducible():
     a = random_convex_polygon(42, 16)
     b = random_convex_polygon(42, 16)
