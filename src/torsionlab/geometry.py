@@ -196,18 +196,19 @@ class ConvexPolygon:
     def _inradius_center(self) -> tuple[float, np.ndarray]:
         normals, offsets = self._edge_lines
         n = len(offsets)
-        # maximize r subject to N.x + r <= c; variables (x1, x2, r)
+        # maximize r subject to N.x + r <= c; variables (x1, x2, r), in units
+        # of the diameter so that HiGHS's absolute tolerances hold at any size
         a_ub = np.hstack([normals, np.ones((n, 1))])
         res = linprog(
             c=[0.0, 0.0, -1.0],
             A_ub=a_ub,
-            b_ub=offsets,
+            b_ub=offsets / self.diameter,
             bounds=[(None, None), (None, None), (0.0, None)],
             method="highs",
         )
         if not res.success:
             raise InvalidDomainError(f"inradius linear program failed: {res.message}")
-        center = np.asarray(res.x[:2])
+        center = np.asarray(res.x[:2]) * self.diameter
         # report the radius realized at the returned center so the pair is
         # feasible to machine precision
         radius = float(np.min(offsets - normals @ center))

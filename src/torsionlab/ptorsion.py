@@ -17,7 +17,7 @@ interior hexagonal lattice, followed by one smoothing pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -118,11 +118,14 @@ class Mesh:
         keep = (rows >= 0) & (cols >= 0)
         return rows[keep], cols[keep], keep, ni
 
+    def _assemble(self, blocks: np.ndarray):
+        """Interior-reduced CSC matrix from (M, 3, 3) per-triangle blocks."""
+        rows, cols, keep, ni = self._assembly
+        return coo_matrix((blocks.ravel()[keep], (rows, cols)), shape=(ni, ni)).tocsc()
+
     def stiffness(self, weights: np.ndarray):
         """Interior-reduced weighted stiffness matrix (CSC)."""
-        rows, cols, keep, ni = self._assembly
-        data = (self.k_local * weights[:, None, None]).ravel()[keep]
-        return coo_matrix((data, (rows, cols)), shape=(ni, ni)).tocsc()
+        return self._assemble(self.k_local * weights[:, None, None])
 
     def energy_hessian(self, u: np.ndarray, p: float, eps2: float):
         """Interior-reduced Hessian of the regularized energy at u, or None
@@ -137,9 +140,7 @@ class Mesh:
         blocks += (c * self.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
         if not np.all(np.isfinite(blocks)):
             return None
-        rows, cols, keep, ni = self._assembly
-        data = blocks.ravel()[keep]
-        return coo_matrix((data, (rows, cols)), shape=(ni, ni)).tocsc()
+        return self._assemble(blocks)
 
     def gradient_squares(self, u: np.ndarray) -> np.ndarray:
         """(M,) squared gradient magnitudes of a nodal function."""
@@ -400,28 +401,21 @@ def prolong(coarse_u: np.ndarray, fine: Mesh) -> np.ndarray:
 # Solves and family sweeps accept p in (1, P_MAX_SUPPORTED].
 P_MAX_SUPPORTED = 32.0
 
-
-def _default_schedule():
-    return tuple(10.0**-k for k in range(2, 11))
+# Relative regularization levels: eps = eps_rel * max |grad u| per level.
+EPS_LEVELS = tuple(10.0**-k for k in range(2, 11))
+# A level's lagged steps stop below this relative energy decrease; the
+# Newton polish on the final level stops below TOL_NEWTON.
+TOL_LAGGED = 1e-6
+TOL_NEWTON = 1e-10
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol_energy: float = 1e-10
     max_iters: int = 500
-    epsilon_schedule: tuple = field(default_factory=_default_schedule)
 
     def __post_init__(self):
-        if self.tol_energy <= 0.0:
-            raise ValueError("tol_energy must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        sched = tuple(float(e) for e in self.epsilon_schedule)
-        if not sched or min(sched) <= 0.0:
-            raise ValueError("epsilon_schedule must be positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("epsilon_schedule must be strictly decreasing")
-        object.__setattr__(self, "epsilon_schedule", sched)
 
 
 @dataclass
@@ -436,7 +430,6 @@ class TorsionSolution:
     iterations: int
     converged: bool
     energy_trace: list
-    eps_levels: tuple
 
     def to_json_dict(self) -> dict:
         out = self.mesh.to_json_dict()
@@ -458,10 +451,16 @@ def solve_p_torsion(
 ) -> TorsionSolution:
     """Minimize the discrete p-torsion energy by lagged diffusivity.
 
-    The regularization is relative: at each continuation level,
-    eps = eps_rel * max |grad u| for the current iterate. Every accepted
-    step is monotone in the regularized energy (damped line search), and
-    convergence is only declared on the final level.
+    The regularization is relative: at each level of EPS_LEVELS,
+    eps = eps_rel * max |grad u| for the current iterate. Each level takes
+    lagged-diffusivity steps until the energy decrease falls below
+    TOL_LAGGED; the final level then polishes with Newton steps down to
+    TOL_NEWTON, taking a lagged step wherever Newton is rejected. Every
+    step goes through one halving line search and is accepted only if it
+    does not raise the regularized energy. Convergence is declared only on
+    the final level: by a Newton decrease below TOL_NEWTON, or when a
+    lagged step after a rejected Newton step is rejected too (the
+    floating-point floor).
     """
     opts = opts or SolverOptions()
     if not (1.0 < p <= P_MAX_SUPPORTED):
@@ -472,17 +471,19 @@ def solve_p_torsion(
     load = mesh.load_vector
     b_int = load[interior]
 
-    def linear_solve(weights: np.ndarray) -> np.ndarray:
+    def nodal(x_int: np.ndarray) -> np.ndarray:
         out = np.zeros(mesh.n_nodes)
-        out[interior] = spsolve(mesh.stiffness(weights), b_int)
+        out[interior] = x_int
         return out
+
+    def linear_solve(weights: np.ndarray) -> np.ndarray:
+        return nodal(spsolve(mesh.stiffness(weights), b_int))
 
     if p == 2.0:
         u = linear_solve(np.ones(mesh.n_triangles))
         t_p = float(load @ u)
         e2 = _energy(mesh, u, p, 0.0)
-        sol = TorsionSolution(mesh, p, u, t_p, e2, 1, True, [(0, e2)], (0.0,))
-        return _checked(sol)
+        return _checked(TorsionSolution(mesh, p, u, t_p, e2, 1, True, [(0, e2)]))
 
     iterations = 0
     if u0 is not None:
@@ -501,7 +502,7 @@ def solve_p_torsion(
         g = mesh.gradient_squares(v)
         g_top = float(g.max())
         f = float(load @ v)
-        if g_top <= 0.0 or f <= 0.0:
+        if not (0.0 < g_top < math.inf and 0.0 < f < math.inf):
             return v
         # scale out g_top so the p/2 power cannot overflow
         e_scaled = float(np.sum(mesh.areas * (g / g_top) ** (p / 2.0)))
@@ -511,132 +512,117 @@ def solve_p_torsion(
             log_s = math.copysign(700.0, log_s)
         return v * math.exp(log_s)
 
+    def search(u, d, u_one, lam, j_cur, eps2, ray):
+        """Halve lam until the step does not raise the energy at eps2.
+
+        The point tried is u + lam d, or u_one at lam = 1; with ray set, its
+        ray minimizer competes. Returns (point, energy, lam), or None after
+        40 halvings."""
+        for _ in range(40):
+            cand = u_one if lam == 1.0 else u + lam * d
+            j_c = _energy(mesh, cand, p, eps2)
+            if ray:
+                cand2 = rescaled(cand)
+                j_c2 = _energy(mesh, cand2, p, eps2)
+                if j_c2 < j_c:
+                    cand, j_c = cand2, j_c2
+            if j_c <= j_cur + 1e-12 * abs(j_cur):
+                return cand, j_c, lam
+            lam *= 0.5
+        return None
+
+    def lagged_step(u, g, eps2, j_cur):
+        # weights (|grad u|^2 + eps^2)^((p-2)/2), scaled to max 1 in log space
+        nonlocal lam_mem
+        w_log = (0.5 * (p - 2.0)) * np.log(g + eps2)
+        w_log -= w_log.max()
+        u_hat = linear_solve(np.exp(np.maximum(w_log, -575.0)))
+        accepted = search(u, u_hat - u, u_hat, min(1.0, 2.0 * lam_mem), j_cur, eps2, ray=True)
+        if accepted is not None:
+            lam_mem = accepted[2]
+        return accepted
+
+    def newton_step(u, g, eps2):
+        # Newton direction of the regularized energy, or None if the
+        # Hessian or the direction is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_true = (g + eps2) ** ((p - 2.0) / 2.0)
+        if not np.all(np.isfinite(w_true)):
+            return None
+        hess = mesh.energy_hessian(u, p, eps2)
+        if hess is None:
+            return None
+        residual = b_int - mesh.stiffness(w_true) @ u[interior]
+        try:
+            d_int = spsolve(hess, residual)
+        except Exception:
+            return None
+        return nodal(d_int) if np.all(np.isfinite(d_int)) else None
+
     u = rescaled(u)
-    levels = opts.epsilon_schedule
     trace: list = []
     converged = False
     lam_mem = 1.0
-    for li, eps_rel in enumerate(levels):
-        final = li == len(levels) - 1
+    for li, eps_rel in enumerate(EPS_LEVELS):
         g = mesh.gradient_squares(u)
         g_max = float(g.max())
         if g_max <= 0.0:
             g_max = 1.0
         eps2 = (eps_rel * eps_rel) * g_max
-        tol_picard = max(opts.tol_energy, 1e-6)
         j_cur = _energy(mesh, u, p, eps2)
         remaining = opts.max_iters - iterations
-        if final:
+        if li == len(EPS_LEVELS) - 1:
             cap = max(10, remaining // 3)
         else:
-            cap = max(10, remaining // (2 * (len(levels) - li)))
-        level_done = False
+            cap = max(10, remaining // (2 * (len(EPS_LEVELS) - li)))
         for _ in range(cap):
             if iterations >= opts.max_iters:
                 break
-            w_log = (0.5 * (p - 2.0)) * np.log(g + eps2)
-            w_log -= w_log.max()
-            w = np.exp(np.maximum(w_log, -575.0))
-            u_hat = linear_solve(w)
             iterations += 1
-            step = u_hat - u
-            lam = min(1.0, 2.0 * lam_mem)
-            accepted = None
-            for _ in range(40):
-                cand = u + lam * step if lam != 1.0 else u_hat
-                cand2 = rescaled(cand)
-                j_c = _energy(mesh, cand, p, eps2)
-                j_c2 = _energy(mesh, cand2, p, eps2)
-                if j_c2 < j_c:
-                    cand, j_c = cand2, j_c2
-                if j_c <= j_cur + 1e-12 * abs(j_cur):
-                    accepted = (cand, j_c)
-                    break
-                lam *= 0.5
+            accepted = lagged_step(u, g, eps2, j_cur)
             if accepted is None:
-                level_done = True  # at the floating-point floor of this level
-                break
-            lam_mem = lam
-            u_new, j_new = accepted
+                break  # at the floating-point floor of this level
+            u_new, j_new, _ = accepted
             step_rel = float(np.max(np.abs(u_new - u))) / max(float(np.max(np.abs(u_new))), 1e-300)
             rel_dec = (j_cur - j_new) / max(abs(j_new), 1e-300)
             u, j_cur = u_new, j_new
             g = mesh.gradient_squares(u)
             trace.append((li, j_cur))
-            if rel_dec < tol_picard or step_rel < 1e-13:
-                level_done = True
+            if rel_dec < TOL_LAGGED or step_rel < 1e-13:
                 break
-        if final:
-            if level_done and opts.tol_energy >= tol_picard:
-                converged = True
-            else:
-                # Newton polish: quadratic convergence to the strict
-                # stationarity tolerance that plain lagged steps reach
-                # only asymptotically; a rejected Newton step falls back
-                # to one lagged step, and only a double rejection counts
-                # as the floating-point floor
-                while iterations < opts.max_iters:
-                    g = mesh.gradient_squares(u)
-                    accepted = None
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        w_true = (g + eps2) ** ((p - 2.0) / 2.0)
-                    if np.all(np.isfinite(w_true)):
-                        hess = mesh.energy_hessian(u, p, eps2)
-                        if hess is not None:
-                            residual = b_int - mesh.stiffness(w_true) @ u[interior]
-                            try:
-                                d_int = spsolve(hess, residual)
-                            except Exception:
-                                d_int = None
-                            if d_int is not None and np.all(np.isfinite(d_int)):
-                                iterations += 1
-                                d = np.zeros(mesh.n_nodes)
-                                d[interior] = d_int
-                                lam = 1.0
-                                for _ in range(40):
-                                    cand = u + lam * d
-                                    j_c = _energy(mesh, cand, p, eps2)
-                                    if j_c <= j_cur + 1e-12 * abs(j_cur):
-                                        accepted = (cand, j_c)
-                                        break
-                                    lam *= 0.5
-                    if accepted is None:
-                        # lagged fallback step
-                        if iterations >= opts.max_iters:
-                            break
-                        w_log = (0.5 * (p - 2.0)) * np.log(g + eps2)
-                        w_log -= w_log.max()
-                        u_hat = linear_solve(np.exp(np.maximum(w_log, -575.0)))
-                        iterations += 1
-                        step = u_hat - u
-                        lam = min(1.0, 2.0 * lam_mem)
-                        for _ in range(40):
-                            cand = rescaled(u + lam * step)
-                            j_c = _energy(mesh, cand, p, eps2)
-                            if j_c <= j_cur + 1e-12 * abs(j_cur):
-                                accepted = (cand, j_c)
-                                lam_mem = lam
-                                break
-                            lam *= 0.5
-                        if accepted is None:
-                            converged = True  # stationary to float precision
-                            break
-                    u_new, j_new = accepted
-                    rel_dec = (j_cur - j_new) / max(abs(j_new), 1e-300)
-                    u, j_cur = u_new, j_new
-                    trace.append((li, j_cur))
-                    if rel_dec < opts.tol_energy:
-                        converged = True
-                        break
+    # Newton polish on the final level: quadratic convergence to the strict
+    # tolerance that plain lagged steps reach only asymptotically; a rejected
+    # Newton step falls back to one lagged step, and only a double rejection
+    # counts as the floating-point floor
+    while iterations < opts.max_iters:
+        g = mesh.gradient_squares(u)
+        accepted = None
+        d = newton_step(u, g, eps2)
+        if d is not None:
+            iterations += 1
+            accepted = search(u, d, u + d, 1.0, j_cur, eps2, ray=False)
+        if accepted is None:
+            if iterations >= opts.max_iters:
+                break
+            iterations += 1
+            accepted = lagged_step(u, g, eps2, j_cur)
+            if accepted is None:
+                converged = True  # stationary to float precision
+                break
+        u_new, j_new, _ = accepted
+        rel_dec = (j_cur - j_new) / max(abs(j_new), 1e-300)
+        u, j_cur = u_new, j_new
+        trace.append((li, j_cur))
+        if rel_dec < TOL_NEWTON:
+            converged = True
+            break
     # on the optimal ray b.u equals the p-energy, so the reported integral
     # stays a lower bound of the discrete optimum even if slightly unconverged
     u_ray = rescaled(u)
     if _energy(mesh, u_ray, p, 0.0) <= _energy(mesh, u, p, 0.0):
         u = u_ray
     t_p = float(load @ u)
-    sol = TorsionSolution(
-        mesh, p, u, t_p, _energy(mesh, u, p, 0.0), iterations, converged, trace, levels
-    )
+    sol = TorsionSolution(mesh, p, u, t_p, _energy(mesh, u, p, 0.0), iterations, converged, trace)
     if not converged:
         raise ConvergenceError(
             f"p-torsion solve (p={p}) did not converge within {opts.max_iters} "

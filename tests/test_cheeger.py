@@ -37,8 +37,8 @@ def test_tangential_polygon_formula():
 def test_cheeger_scaling():
     poly = random_convex_polygon(11, 12)
     base = cheeger_constant(poly).h
-    for t in (0.5, 3.0):
-        assert np.isclose(cheeger_constant(scale(poly, t)).h, base / t, rtol=1e-10)
+    for t in (1e-6, 0.5, 3.0, 1e6):
+        assert np.isclose(cheeger_constant(scale(poly, t)).h, base / t, rtol=1e-10), t
 
 
 def test_cheeger_residual_random_polygons():

@@ -206,6 +206,9 @@ def test_scale_translate_exact():
     assert np.isclose(big.area, 4.0 * poly.area, rtol=1e-14)
     assert np.isclose(big.perimeter, 2.0 * poly.perimeter, rtol=1e-14)
     assert np.isclose(big.inradius, 2.0 * poly.inradius, rtol=1e-9)
+    # the inradius LP is posed in units of the diameter, so size does not matter
+    tiny = scale(poly, 1e-6)
+    assert np.isclose(tiny.inradius, 1e-6 * poly.inradius, rtol=1e-9)
     moved = translate(poly, (3.0, -1.0))
     assert np.isclose(moved.area, poly.area, rtol=1e-14)
     assert np.allclose(moved.centroid, poly.centroid + np.array([3.0, -1.0]), atol=1e-12)
