@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from .cheeger import cheeger_constant, p_to_one_trend
 from .errors import (
@@ -19,6 +20,8 @@ from .errors import (
     SamplingError,
 )
 from .families import (
+    FAMILIES,
+    NORMALIZATIONS,
     FamilySweepConfig,
     compare_pairs,
     estimate_gamma,
@@ -244,7 +247,7 @@ def _verify_pairs(args) -> int:
         opts=_solver_options(args),
     )
     if args.format == "json":
-        _emit(dumps_9g(study.to_json_dict()) + "\n", args.out)
+        _emit(dumps_9g(asdict(study)) + "\n", args.out)
     else:
         lines = [
             f"pairs a={format_value(args.a)} b={format_value(args.b)} "
@@ -321,7 +324,7 @@ def cmd_estimate_gamma(args) -> int:
         levels=args.levels,
         opts=_solver_options(args),
     )
-    _emit(dumps_9g(est.to_json_dict()) + "\n", args.out)
+    _emit(dumps_9g(asdict(est)) + "\n", args.out)
     return EXIT_OK
 
 
@@ -351,12 +354,12 @@ def build_parser() -> _Parser:
 
     pw = sub.add_parser("sweep", help="family sweep with reference columns")
     common(pw, spec_required=False)
-    pw.add_argument("--family", required=True, choices=("rectangles", "ellipses", "triangles", "random"))
+    pw.add_argument("--family", required=True, choices=FAMILIES)
     pw.add_argument("--kappa", type=_parse_floats, default=None, help="aspect ratios")
     pw.add_argument("--count", type=int, default=10)
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--p", type=_parse_floats, default=[2.0])
-    pw.add_argument("--normalization", choices=("none", "by_inradius", "by_avg_distance"), default="none")
+    pw.add_argument("--normalization", choices=NORMALIZATIONS, default="none")
     pw.add_argument("--target", type=float, default=1.0)
     pw.set_defaults(func=cmd_sweep)
 

@@ -11,15 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .closed_form import (
-    GammaBound,
-    ellipse_rigidity_p2,
-    family_gamma_bound,
-    prefactor,
-)
-from .errors import ConvergenceError, InvalidDomainError
+from .closed_form import ellipse_rigidity_p2, family_gamma_bound, prefactor
+from .errors import InvalidDomainError
 from .functionals import (
     build_shape_report,
     normalized_rigidity,
@@ -243,12 +236,14 @@ class PairStudy:
     When a <= b/D the corridor endpoints alone guarantee
     T(p; Omega_b) <= T(p; Omega_a); otherwise rows are reported without a
     verdict.
+
+    The field names, in order, are the keys of the JSON report.
     """
 
     a: float
     b: float
     p: float
-    D: int
+    dimension: int
     guaranteed: bool
     corridor_upper_b: float
     corridor_lower_a: float
@@ -257,28 +252,6 @@ class PairStudy:
     @property
     def all_hold(self) -> bool:
         return all(r.status == "holds" for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "p": self.p,
-            "dimension": self.D,
-            "guaranteed": self.guaranteed,
-            "corridor_upper_b": self.corridor_upper_b,
-            "corridor_lower_a": self.corridor_lower_a,
-            "rows": [
-                {
-                    "index": r.index,
-                    "t_norm_a": r.t_norm_a,
-                    "t_norm_b": r.t_norm_b,
-                    "margin": r.margin,
-                    "slack": r.slack,
-                    "status": r.status,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def compare_pairs(
@@ -307,7 +280,7 @@ def compare_pairs(
         a=a,
         b=b,
         p=p,
-        D=D,
+        dimension=D,
         guaranteed=guaranteed,
         corridor_upper_b=upper_b,
         corridor_lower_a=lower_a,
@@ -369,10 +342,12 @@ class GammaEstimate:
     overestimates the infimum and the sample maximum underestimates the
     supremum. The extremes are approached only through degenerating
     families, so no finite sample attains them.
+
+    The field names, in order, are the keys of the JSON report.
     """
 
     p: float
-    D: int
+    dimension: int
     alpha_hat: float
     beta_hat: float
     gamma_hat: float
@@ -384,34 +359,6 @@ class GammaEstimate:
     manifest: dict = field(default_factory=dict)
     family_checks: list = field(default_factory=list)
     samples: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "dimension": self.D,
-            "alpha_hat": self.alpha_hat,
-            "beta_hat": self.beta_hat,
-            "gamma_hat": self.gamma_hat,
-            "alpha_shape": self.alpha_shape,
-            "beta_shape": self.beta_shape,
-            "n_samples": self.n_samples,
-            "is_upper_bound": self.is_upper_bound,
-            "label": self.label,
-            "manifest": self.manifest,
-            "family_checks": [
-                {
-                    "family": c.family,
-                    "members": c.members,
-                    "measured_ratio": c.measured_ratio,
-                    "bound": c.bound,
-                    "bound_exact": c.bound_exact,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.family_checks
-            ],
-            "samples": self.samples,
-        }
 
 
 UPPER_BOUND_LABEL = (
@@ -475,16 +422,9 @@ def estimate_gamma(
     beta_hat = q_by_id[beta_id][0]
     gamma_hat = alpha_hat / beta_hat
 
-    checks = [
-        _rectangle_family_check(p, q_by_id, levels, opts),
-        _triangle_family_check(p, q_by_id, levels, opts),
-    ]
-    if p == 2.0:
-        checks.append(_ellipse_family_check(q_by_id, levels, opts))
-
     return GammaEstimate(
         p=p,
-        D=2,
+        dimension=2,
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
         gamma_hat=gamma_hat,
@@ -499,67 +439,52 @@ def estimate_gamma(
             "levels": levels,
             "injected": [shape_id for shape_id, _ in injected],
         },
-        family_checks=checks,
+        family_checks=_family_checks(p, q_by_id, levels, opts),
         samples=samples,
     )
 
 
-def _ratio_check(
-    family: str, members: list, qs: list, slacks: list, bound: GammaBound, extra_tol: float
-) -> FamilyCheck:
-    measured = min(qs) / max(qs)
-    tol = sum(slacks) + extra_tol
-    return FamilyCheck(
-        family=family,
-        members=members,
-        measured_ratio=measured,
-        bound=bound.value,
-        bound_exact=bound.exact,
-        tolerance=tol,
-        passed=bool(measured >= bound.value - tol),
-    )
+def _family_checks(p, q_by_id, levels, opts) -> list[FamilyCheck]:
+    """Measured ratio of each family against its proven bound.
 
-
-def _rectangle_family_check(p, q_by_id, levels, opts) -> FamilyCheck:
-    kappas = [2.0, 10.0]
-    qs, slacks, members = [], [], []
-    for k in kappas:
-        q_k, est = _q_sample(make_rectangle(0.5 * k, 0.5), p, levels, opts)
-        qs.append(q_k)
-        slacks.append(est.slack / p)
-        members.append(f"kappa={k:g}")
-    q_thin, est_thin = q_by_id["rectangle_kappa_1000"]
-    qs.append(q_thin)
-    slacks.append(est_thin.slack / p)
-    members.append("kappa=1000")
-    return _ratio_check("rectangles", members, qs, slacks, family_gamma_bound("rectangle", 2.0), 0.0)
-
-
-def _triangle_family_check(p, q_by_id, levels, opts) -> FamilyCheck:
-    q_right, est_right = _q_sample(
-        make_triangle((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), p, levels, opts
-    )
-    q_eq, est_eq = q_by_id["equilateral_triangle"]
-    return _ratio_check(
-        "triangles",
-        ["equilateral", "right_isosceles"],
-        [q_eq, q_right],
-        [est_eq.slack / p, est_right.slack / p],
-        family_gamma_bound("triangle", None),
-        0.0,
-    )
-
-
-def _ellipse_family_check(q_by_id, levels, opts) -> FamilyCheck:
-    q_disk, est_disk = q_by_id["disk_64gon"]
-    q_ell, est_ell = _q_sample(
-        make_ellipse_polygon(2.0, 1.0, ELLIPSE_VERTICES), 2.0, levels, opts
-    )
-    return _ratio_check(
-        "ellipses",
-        ["kappa=1 (disk)", "kappa=2"],
-        [q_disk, q_ell],
-        [est_disk.slack / 2.0, est_ell.slack / 2.0],
-        family_gamma_bound("ellipse_p2", 2.0),
-        CURVED_MEMBER_TOL,
-    )
+    A member is (label, m): m is the id of an injected sample in q_by_id or
+    a polygon sampled here. The tolerance sums the members' slacks on Q_p
+    in member order, plus the family's allowance for curved members.
+    """
+    table = [
+        ("rectangles", family_gamma_bound("rectangle", 2.0), 0.0, [
+            ("kappa=2", make_rectangle(1.0, 0.5)),
+            ("kappa=10", make_rectangle(5.0, 0.5)),
+            ("kappa=1000", "rectangle_kappa_1000"),
+        ]),
+        ("triangles", family_gamma_bound("triangle", None), 0.0, [
+            ("equilateral", "equilateral_triangle"),
+            ("right_isosceles", make_triangle((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+        ]),
+    ]
+    if p == 2.0:
+        table.append(("ellipses", family_gamma_bound("ellipse_p2", 2.0), CURVED_MEMBER_TOL, [
+            ("kappa=1 (disk)", "disk_64gon"),
+            ("kappa=2", make_ellipse_polygon(2.0, 1.0, ELLIPSE_VERTICES)),
+        ]))
+    checks = []
+    for family, bound, extra_tol, members in table:
+        sampled = [
+            q_by_id[m] if isinstance(m, str) else _q_sample(m, p, levels, opts)
+            for _, m in members
+        ]
+        qs = [q for q, _ in sampled]
+        measured = min(qs) / max(qs)
+        tol = sum(est.slack / p for _, est in sampled) + extra_tol
+        checks.append(
+            FamilyCheck(
+                family=family,
+                members=[label for label, _ in members],
+                measured_ratio=measured,
+                bound=bound.value,
+                bound_exact=bound.exact,
+                tolerance=tol,
+                passed=bool(measured >= bound.value - tol),
+            )
+        )
+    return checks

@@ -9,7 +9,7 @@ report (JSON and flat CSV with 9-significant-digit floats).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -210,10 +210,9 @@ class ShapeReport:
     r_star: float | None = None
     cheeger_residual: float | None = None
     q1: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "shape_id": self.shape_id,
             "geometry": {
@@ -247,25 +246,11 @@ class ShapeReport:
                     "slack": e.slack,
                     "iterations": e.iterations,
                     "saint_venant_gap": e.sv_gap,
-                    "verdicts": [
-                        {
-                            "name": v.name,
-                            "value": v.value,
-                            "lower": v.lower,
-                            "upper": v.upper,
-                            "margin": v.margin,
-                            "slack": v.slack,
-                            "passed": v.passed,
-                        }
-                        for v in e.verdicts
-                    ],
+                    "verdicts": [asdict(v) for v in e.verdicts],
                 }
                 for e in self.entries
             ],
         }
-        if self.extra:
-            out["extra"] = self.extra
-        return out
 
     def all_passed(self) -> bool:
         return all(v.passed for e in self.entries for v in e.verdicts)
@@ -289,7 +274,7 @@ CSV_COLUMNS = [
 ] + [f"pass_{name}" for name in VERDICT_ORDER] + [f"margin_{name}" for name in VERDICT_ORDER]
 
 
-def report_csv_rows(report: ShapeReport, extra_columns: dict | None = None) -> list[dict]:
+def report_csv_rows(report: ShapeReport) -> list[dict]:
     """Flatten a report to one CSV row dict per exponent p."""
     rows = []
     for e in report.entries:
@@ -314,8 +299,6 @@ def report_csv_rows(report: ShapeReport, extra_columns: dict | None = None) -> l
             v = present.get(name)
             row[f"pass_{name}"] = None if v is None else v.passed
             row[f"margin_{name}"] = None if v is None else v.margin
-        if extra_columns:
-            row.update(extra_columns)
         rows.append(row)
     return rows
 

@@ -185,10 +185,10 @@ class ConvexPolygon:
         """
         return float(self.boundary_distances(np.asarray(x, dtype=float))[0])
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         pts = np.asarray(x, dtype=float) - self._center
         normals, offsets = self._edge_lines
-        return bool(np.all(pts @ normals.T <= offsets + tol))
+        return bool(np.all(pts @ normals.T <= offsets))
 
     # -- inradius (Chebyshev center) ---------------------------------------
 
@@ -464,21 +464,15 @@ def random_convex_polygon(seed, n: int = 24, mode: str = "hull-of-uniform") -> C
         if mode == "hull-of-uniform":
             radius = np.sqrt(rng.uniform(size=n))
             theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-            pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-            try:
-                hull = ConvexHull(pts)
-                return ConvexPolygon(pts[hull.vertices])
-            except Exception:
-                continue
         else:
             radius = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, size=n)
             theta = 2.0 * np.pi * np.arange(n) / n
-            pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-            try:
-                hull = ConvexHull(pts)
-                return ConvexPolygon(pts[hull.vertices])
-            except Exception:
-                continue
+        pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+        try:
+            hull = ConvexHull(pts)
+            return ConvexPolygon(pts[hull.vertices])
+        except Exception:
+            continue
     raise SamplingError(
         f"no valid convex polygon after {MAX_SAMPLER_ATTEMPTS} attempts "
         f"(seed={seed}, n={n}, mode={mode})"

@@ -51,15 +51,12 @@ class Mesh:
         self.boundary_mask = np.ascontiguousarray(boundary_mask, dtype=bool)
         self.parent_edges = None  # set by refine(): (E, 2) parent node pairs
         self.parent_nodes = None  # node count of the parent mesh
-        a, b, c = (self.nodes[self.triangles[:, k]] for k in range(3))
-        cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-            c[:, 0] - a[:, 0]
-        )
-        self.areas = 0.5 * cross
+        self.areas = _signed_areas(self.nodes, self.triangles)
         total = float(self.areas.sum())
         if np.any(self.areas <= 1e-14 * total):
             raise MeshResourceError("mesh contains degenerate or inverted triangles")
         if h_max is None:
+            a, b, c = (self.nodes[self.triangles[:, k]] for k in range(3))
             h_max = float(
                 max(
                     np.max(np.hypot(*(b - a).T)),
@@ -187,6 +184,14 @@ class Mesh:
 # -- mesh generation --------------------------------------------------------
 
 
+def _signed_areas(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """(M,) triangle areas, positive for counter-clockwise vertex order."""
+    a, b, c = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
+    return 0.5 * (
+        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    )
+
+
 def _is_axis_rectangle(poly: ConvexPolygon) -> bool:
     v = poly.vertices
     if len(v) != 4:
@@ -288,13 +293,10 @@ def _delaunay_mesh(poly: ConvexPolygon, h_target: float) -> Mesh:
             last_error = "Delaunay dropped coplanar points"
             continue
         tris = tess.simplices.astype(np.int32)
-        a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
-        cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-            c[:, 0] - a[:, 0]
-        )
-        flip = cross < 0.0
+        areas = _signed_areas(pts, tris)
+        flip = areas < 0.0
         tris[flip] = tris[flip][:, [0, 2, 1]]
-        areas = 0.5 * np.abs(cross)
+        areas = np.abs(areas)
         keep = areas > 1e-14 * area
         tris = tris[keep]
         if abs(float(areas[keep].sum()) - area) > 1e-9 * area:
@@ -314,10 +316,8 @@ def _smooth_interior(nodes, tris, boundary, total_area):
     """One damped Lloyd-style pass: move interior nodes toward the
     area-weighted centroid of their incident triangles; revert wholly if
     any triangle degenerates."""
+    areas = _signed_areas(nodes, tris)
     a, b, c = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
-    areas = 0.5 * (
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
     centroids = (a + b + c) / 3.0
     wsum = np.zeros(len(nodes))
     acc = np.zeros((len(nodes), 2))
@@ -328,11 +328,7 @@ def _smooth_interior(nodes, tris, boundary, total_area):
     target = nodes.copy()
     target[movable] = acc[movable] / wsum[movable, None]
     smoothed = nodes + 0.5 * (target - nodes)
-    a, b, c = smoothed[tris[:, 0]], smoothed[tris[:, 1]], smoothed[tris[:, 2]]
-    new_areas = 0.5 * (
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
-    if np.any(new_areas <= 1e-14 * total_area):
+    if np.any(_signed_areas(smoothed, tris) <= 1e-14 * total_area):
         return nodes
     return smoothed
 
@@ -431,13 +427,6 @@ class TorsionSolution:
     converged: bool
     energy_trace: list
 
-    def to_json_dict(self) -> dict:
-        out = self.mesh.to_json_dict()
-        out["u"] = self.u.tolist()
-        out["p"] = self.p
-        out["T_p"] = self.t_p
-        return out
-
 
 def _energy(mesh: Mesh, u: np.ndarray, p: float, eps2: float) -> float:
     g = mesh.gradient_squares(u)
@@ -459,8 +448,8 @@ def solve_p_torsion(
     step goes through one halving line search and is accepted only if it
     does not raise the regularized energy. Convergence is declared only on
     the final level: by a Newton decrease below TOL_NEWTON, or when a
-    lagged step after a rejected Newton step is rejected too (the
-    floating-point floor).
+    Newton step is rejected and the lagged step from the same iterate is
+    rejected too (the floating-point floor).
     """
     opts = opts or SolverOptions()
     if not (1.0 < p <= P_MAX_SUPPORTED):
@@ -575,12 +564,15 @@ def solve_p_torsion(
             cap = max(10, remaining // 3)
         else:
             cap = max(10, remaining // (2 * (len(EPS_LEVELS) - li)))
+        # set while the lagged step from the current u is known to be rejected
+        lagged_rejected = False
         for _ in range(cap):
             if iterations >= opts.max_iters:
                 break
             iterations += 1
             accepted = lagged_step(u, g, eps2, j_cur)
             if accepted is None:
+                lagged_rejected = True
                 break  # at the floating-point floor of this level
             u_new, j_new, _ = accepted
             step_rel = float(np.max(np.abs(u_new - u))) / max(float(np.max(np.abs(u_new))), 1e-300)
@@ -593,7 +585,8 @@ def solve_p_torsion(
     # Newton polish on the final level: quadratic convergence to the strict
     # tolerance that plain lagged steps reach only asymptotically; a rejected
     # Newton step falls back to one lagged step, and only a double rejection
-    # counts as the floating-point floor
+    # counts as the floating-point floor; the lagged step depends only on u,
+    # eps and lam_mem, so one already rejected from this u is not repeated
     while iterations < opts.max_iters:
         g = mesh.gradient_squares(u)
         accepted = None
@@ -601,14 +594,15 @@ def solve_p_torsion(
         if d is not None:
             iterations += 1
             accepted = search(u, d, u + d, 1.0, j_cur, eps2, ray=False)
-        if accepted is None:
+        if accepted is None and not lagged_rejected:
             if iterations >= opts.max_iters:
                 break
             iterations += 1
             accepted = lagged_step(u, g, eps2, j_cur)
-            if accepted is None:
-                converged = True  # stationary to float precision
-                break
+        if accepted is None:
+            converged = True  # stationary to float precision
+            break
+        lagged_rejected = False
         u_new, j_new, _ = accepted
         rel_dec = (j_cur - j_new) / max(abs(j_new), 1e-300)
         u, j_cur = u_new, j_new

@@ -214,6 +214,20 @@ def test_verify_pairs_table(capsys):
     )
     assert code == 0
     assert "guaranteed" in out
+    # the JSON report is written from the PairStudy/PairRow fields: pin the keys
+    code, out, _ = run_cli(
+        capsys, "verify", "--pairs", "--a", "0.4", "--b", "1", "--p", "2", "--levels", "2", "--count", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == [
+        "a", "b", "p", "dimension", "guaranteed", "corridor_upper_b", "corridor_lower_a", "rows",
+    ]
+    assert data["dimension"] == 2
+    assert len(data["rows"]) == 2
+    for row in data["rows"]:
+        assert list(row) == ["index", "t_norm_a", "t_norm_b", "margin", "slack", "status"]
 
 
 def test_cheeger_subcommand(capsys):
@@ -255,6 +269,23 @@ def test_estimate_gamma_subcommand(capsys):
     assert 0.0 < data["gamma_hat"] <= 1.0
     assert data["is_upper_bound"] is True
     assert "label" in data
+    # the JSON report is written from the GammaEstimate/FamilyCheck fields: pin the keys
+    assert list(data) == [
+        "p", "dimension", "alpha_hat", "beta_hat", "gamma_hat", "alpha_shape", "beta_shape",
+        "n_samples", "is_upper_bound", "label", "manifest", "family_checks", "samples",
+    ]
+    assert data["dimension"] == 2
+    checks = data["family_checks"]
+    assert [c["family"] for c in checks] == ["rectangles", "triangles", "ellipses"]
+    assert [c["members"] for c in checks] == [
+        ["kappa=2", "kappa=10", "kappa=1000"],
+        ["equilateral", "right_isosceles"],
+        ["kappa=1 (disk)", "kappa=2"],
+    ]
+    for c in checks:
+        assert list(c) == [
+            "family", "members", "measured_ratio", "bound", "bound_exact", "tolerance", "passed",
+        ]
 
 
 def test_unknown_flag_exit_1(capsys):

@@ -176,6 +176,9 @@ def test_build_shape_report_square():
     d = report.to_json_dict()
     assert d["schema_version"] == "1"
     assert d["geometry"]["area"] == report.area
+    # verdicts are written from the Verdict fields: pin the keys
+    for v in d["rigidity"][0]["verdicts"]:
+        assert list(v) == ["name", "value", "lower", "upper", "margin", "slack", "passed"]
 
 
 def test_report_with_cheeger():
