@@ -88,7 +88,7 @@ def _csv_text(rows: list[dict], columns: list[str]) -> str:
 
 
 def _solver_options(args) -> SolverOptions | None:
-    if getattr(args, "max_iters", None) is None:
+    if args.max_iters is None:
         return None
     return SolverOptions(max_iters=args.max_iters)
 
@@ -335,25 +335,29 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="torsionlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_required=True):
-        if spec_required:
-            p.add_argument("--spec", required=True, help="inline JSON or path to a JSON shape spec")
-        p.add_argument("--levels", type=int, default=3, help="refinement levels")
-        p.add_argument("--h0", type=float, default=None, help="coarse mesh target edge length")
-        p.add_argument("--max-iters", type=int, default=None, help="solver iteration budget")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--shape-id", default="shape")
+    options = {
+        "--spec": dict(required=True, help="inline JSON or path to a JSON shape spec"),
+        "--levels": dict(type=int, default=3, help="refinement levels"),
+        "--h0": dict(type=float, default=None, help="coarse mesh target edge length"),
+        "--max-iters": dict(type=int, default=None, help="solver iteration budget"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--out": dict(default=None, help="output path (default stdout)"),
+        "--shape-id": dict(default="shape"),
+    }
+
+    def add(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
 
     ps = sub.add_parser("shape", help="full report for one shape")
-    common(ps)
+    add(ps, *options)
     ps.add_argument("--p", type=_parse_floats, default=[2.0], help="comma-separated exponents")
     ps.add_argument("--cheeger", action="store_true", help="include the small-p limit constant")
     ps.add_argument("--dump-mesh", action="store_true", help="embed the coarse mesh in JSON output")
     ps.set_defaults(func=cmd_shape)
 
     pw = sub.add_parser("sweep", help="family sweep with reference columns")
-    common(pw, spec_required=False)
+    add(pw, "--levels", "--h0", "--max-iters", "--format", "--out")
     pw.add_argument("--family", required=True, choices=FAMILIES)
     pw.add_argument("--kappa", type=_parse_floats, default=None, help="aspect ratios")
     pw.add_argument("--count", type=int, default=10)
@@ -364,7 +368,7 @@ def build_parser() -> _Parser:
     pw.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="corridor checks with margins")
-    common(pv, spec_required=False)
+    add(pv, "--levels", "--h0", "--max-iters", "--format", "--out", "--shape-id")
     pv.add_argument("--spec", default=None, help="shape to verify (default: bundled shapes)")
     pv.add_argument("--p", type=_parse_floats, default=[1.5, 2.0, 5.0])
     pv.add_argument("--slack-factor", type=float, default=1.0, help="scale all slack budgets")
@@ -376,18 +380,18 @@ def build_parser() -> _Parser:
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("cheeger", help="small-p limit constant from the exact erosion schedule")
-    common(pc)
+    add(pc, "--spec", "--out")
     pc.set_defaults(func=cmd_cheeger)
 
     pl = sub.add_parser("limits", help="small-p and large-p trend studies")
-    common(pl)
+    add(pl, "--spec", "--levels", "--h0", "--max-iters", "--format", "--out")
     pl.add_argument("--direction", choices=("small-p", "large-p", "both"), default="both")
     pl.add_argument("--p-small", type=_parse_floats, default=[1.2, 1.1, 1.05])
     pl.add_argument("--p-large", type=_parse_floats, default=[8.0, 16.0, 32.0])
     pl.set_defaults(func=cmd_limits)
 
     pg = sub.add_parser("estimate-gamma", help="empirical comparison-constant estimate")
-    common(pg, spec_required=False)
+    add(pg, "--levels", "--max-iters", "--out")
     pg.add_argument("--p", type=_parse_floats, default=[2.0])
     pg.add_argument("--count", type=int, default=50)
     pg.add_argument("--seed", type=int, default=0)

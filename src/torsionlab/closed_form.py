@@ -1,5 +1,5 @@
-"""Closed-form reference values: balls in any dimension, the ellipse at
-p = 2, family ratio bounds, and the inequality-corridor endpoint constants.
+"""Closed-form planar reference values: the disk, the ellipse at p = 2,
+family ratio bounds, and the inequality-corridor endpoint constants.
 
 Everything here is exact analytic evaluation in double precision; the
 functions double as standalone calculators and as oracles for the finite
@@ -30,48 +30,21 @@ def prefactor(p: float) -> float:
     return math.exp((p - 1.0) * math.log((2.0 * p - 1.0) / (p - 1.0)))
 
 
-def unit_ball_volume(D: int) -> float:
-    """Volume of the unit ball via the recurrence v_D = v_{D-2} * 2 pi / D."""
-    if D < 1:
-        raise InvalidDomainError("dimension must be >= 1")
-    if D == 1:
-        return 2.0
-    if D == 2:
-        return math.pi
-    return unit_ball_volume(D - 2) * 2.0 * math.pi / D
-
-
-def ball_normalized_rigidity(p: float, D: int = 2, R: float = 1.0) -> float:
-    """Normalized rigidity of the ball: D (D + p/(p-1))^(p-1) / R^p."""
+def ball_normalized_rigidity(p: float, R: float = 1.0) -> float:
+    """Normalized rigidity of the disk of radius R: 2 (2 + p/(p-1))^(p-1) / R^p."""
     _check_p(p)
-    if D < 1 or R <= 0.0:
-        raise InvalidDomainError("ball needs D >= 1 and R > 0")
+    if R <= 0.0:
+        raise InvalidDomainError("disk needs R > 0")
     p_conj = p / (p - 1.0)
-    log_val = math.log(D) + (p - 1.0) * math.log(D + p_conj) - p * math.log(R)
+    log_val = math.log(2.0) + (p - 1.0) * math.log(2.0 + p_conj) - p * math.log(R)
     return math.exp(log_val)
 
 
-def ball_torsion_integral(p: float, D: int = 2, R: float = 1.0) -> float:
-    """Torsion integral T_p of the ball: |B| * T(p; B)^(-1/(p-1))."""
-    t_norm = ball_normalized_rigidity(p, D, R)
-    volume = unit_ball_volume(D) * R**D
+def ball_torsion_integral(p: float, R: float = 1.0) -> float:
+    """Torsion integral T_p of the disk: |B| * T(p; B)^(-1/(p-1))."""
+    t_norm = ball_normalized_rigidity(p, R)
+    volume = math.pi * R**2
     return volume * math.exp(-math.log(t_norm) / (p - 1.0))
-
-
-def ball_torsion_value(x_norm: float, p: float, D: int = 2, R: float = 1.0) -> float:
-    """Torsion function of the ball at radius |x| = x_norm:
-
-    u_p(x) = (D(p-1)/p) [ (R/D)^(p/(p-1)) - (|x|/D)^(p/(p-1)) ].
-    """
-    _check_p(p)
-    if D < 1 or R <= 0.0:
-        raise InvalidDomainError("ball needs D >= 1 and R > 0")
-    if x_norm < 0.0 or x_norm > R * (1.0 + 1e-12):
-        raise InvalidDomainError(f"|x| = {x_norm} outside the ball of radius {R}")
-    x_norm = min(x_norm, R)
-    p_conj = p / (p - 1.0)
-    val = (D * (p - 1.0) / p) * ((R / D) ** p_conj - (x_norm / D) ** p_conj)
-    return max(val, 0.0)
 
 
 def ellipse_rigidity_p2(a: float, b: float) -> tuple[float, float]:
@@ -91,18 +64,17 @@ class GammaBound:
     """Worst-case ratio min Q / max Q over a model family.
 
     `exact` distinguishes an exact family value (ellipses at p = 2) from a
-    proven lower bound (rectangles, orthotopes, triangles).
+    proven lower bound (rectangles, triangles).
     """
 
     value: float
     exact: bool
 
 
-def family_gamma_bound(family: str, kappa: float | None = None, D: int = 2) -> GammaBound:
+def family_gamma_bound(family: str, kappa: float | None = None) -> GammaBound:
     """Ratio bound for a model family.
 
     rectangle(kappa):  >= kappa/(kappa+2), kappa >= 2
-    orthotope(kappa, D): >= kappa/(kappa + 2(D-1)), kappa >= 2
     ellipse_p2(kappa): = (1/sqrt(2)) sqrt(1 + 1/kappa^2) exactly, kappa >= 1
     triangle: >= 1/2
     """
@@ -110,12 +82,6 @@ def family_gamma_bound(family: str, kappa: float | None = None, D: int = 2) -> G
         if kappa is None or kappa < 2.0:
             raise InvalidDomainError("rectangle family needs kappa >= 2")
         return GammaBound(kappa / (kappa + 2.0), exact=False)
-    if family == "orthotope":
-        if kappa is None or kappa < 2.0:
-            raise InvalidDomainError("orthotope family needs kappa >= 2")
-        if D < 2:
-            raise InvalidDomainError("orthotope family needs D >= 2")
-        return GammaBound(kappa / (kappa + 2.0 * (D - 1)), exact=False)
     if family == "ellipse_p2":
         if kappa is None or kappa < 1.0:
             raise InvalidDomainError("ellipse family needs kappa >= 1")
@@ -123,7 +89,7 @@ def family_gamma_bound(family: str, kappa: float | None = None, D: int = 2) -> G
     if family == "triangle":
         return GammaBound(0.5, exact=False)
     raise InvalidDomainError(
-        f"unknown family {family!r}; expected rectangle, orthotope, ellipse_p2 or triangle"
+        f"unknown family {family!r}; expected rectangle, ellipse_p2 or triangle"
     )
 
 
@@ -146,84 +112,17 @@ class CorridorBounds:
 
 
 def corridor_endpoints(
-    p: float, D: int, R: float, P: float, area: float, delta: float
+    p: float, R: float, P: float, area: float, delta: float
 ) -> CorridorBounds:
     _check_p(p)
-    if min(R, P, area, delta) <= 0.0 or D < 1:
-        raise InvalidDomainError("corridor endpoints need positive measures and D >= 1")
+    if min(R, P, area, delta) <= 0.0:
+        raise InvalidDomainError("corridor endpoints need positive measures")
     pref = prefactor(p)
     return CorridorBounds(
         hp_lower=pref / R**p,
         buser_upper=pref * (P / area) ** p,
-        buser_inradius_upper=pref * (D / R) ** p,
-        delta_lower=pref / ((D + 1) * delta) ** p,
-        delta_upper=pref * (D / (2.0 * delta)) ** p,
+        buser_inradius_upper=pref * (2.0 / R) ** p,
+        delta_lower=pref / (3.0 * delta) ** p,
+        delta_upper=pref * (1.0 / delta) ** p,
         geo_upper=R * P / area,
     )
-
-
-@dataclass(frozen=True)
-class AnalyticShape:
-    """Shapes with known closed forms, described by their measures."""
-
-    kind: str
-    params: dict
-
-    @classmethod
-    def ball(cls, D: int, R: float) -> "AnalyticShape":
-        if D < 1 or R <= 0.0:
-            raise InvalidDomainError("ball needs D >= 1 and R > 0")
-        return cls("ball", {"D": D, "R": R})
-
-    @classmethod
-    def orthotope(cls, lengths) -> "AnalyticShape":
-        ls = [float(x) for x in lengths]
-        if len(ls) < 1 or min(ls) <= 0.0:
-            raise InvalidDomainError("orthotope needs positive side lengths")
-        return cls("orthotope", {"lengths": ls})
-
-    @classmethod
-    def ellipse(cls, a: float, b: float) -> "AnalyticShape":
-        if b <= 0.0 or a < b:
-            raise InvalidDomainError("ellipse needs a >= b > 0")
-        return cls("ellipse", {"a": a, "b": b})
-
-    @classmethod
-    def triangle_by_measures(cls, R: float, P: float, area: float) -> "AnalyticShape":
-        if min(R, P, area) <= 0.0:
-            raise InvalidDomainError("triangle measures must be positive")
-        if abs(area - 0.5 * R * P) > 1e-12 * area:
-            raise InvalidDomainError(
-                f"triangle measures must satisfy area = R*P/2; got area={area}, R*P/2={0.5 * R * P}"
-            )
-        return cls("triangle", {"R": R, "P": P, "area": area})
-
-    @property
-    def geo_corridor_upper(self) -> float:
-        """R * P / area for the planar kinds (upper end of the Q window)."""
-        if self.kind == "ball":
-            if self.params["D"] != 2:
-                raise InvalidDomainError("geometric corridor is planar (D = 2)")
-            return 2.0
-        if self.kind == "ellipse":
-            raise InvalidDomainError("ellipse perimeter has no elementary closed form")
-        if self.kind == "triangle":
-            return 2.0
-        lengths = self.params["lengths"]
-        if len(lengths) != 2:
-            raise InvalidDomainError("geometric corridor is planar (D = 2)")
-        a, b = lengths
-        r = 0.5 * min(a, b)
-        return r * 2.0 * (a + b) / (a * b)
-
-    def normalized_rigidity(self, p: float) -> float:
-        """Closed-form T(p; .) where one is known."""
-        if self.kind == "ball":
-            return ball_normalized_rigidity(p, self.params["D"], self.params["R"])
-        if self.kind == "ellipse":
-            if p != 2.0:
-                raise InvalidDomainError("ellipse rigidity is closed-form only at p = 2")
-            a, b = self.params["a"], self.params["b"]
-            t2, _ = ellipse_rigidity_p2(a, b)
-            return (math.pi * a * b) / t2
-        raise InvalidDomainError(f"no closed-form rigidity for kind {self.kind!r}")

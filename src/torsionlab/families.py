@@ -191,7 +191,7 @@ def p_to_infinity_trend(
     """Track T(p;Omega)^{1/p} * delta toward its limit value 1.
 
     Also reports the limit functional Q_inf = R/delta, which lies in
-    [2, D+1] for planar convex bodies (2 in the strip limit, D+1 for
+    [2, 3] for planar convex bodies (2 in the strip limit, 3 for
     triangles).
     """
     p_list = [float(p) for p in p_list]

@@ -40,19 +40,15 @@ def lambda_p1(t_p: float, p: float) -> float:
     return math.exp((1.0 - p) * math.log(t_p))
 
 
-def q_functional(t_norm: float, inradius: float, p: float) -> float:
-    """[T_norm * R^p / prefactor(p)]^(1/p), confined to [1, R P / area)."""
-    if t_norm <= 0.0 or inradius <= 0.0:
+def q_functional(t_norm: float, length: float, p: float) -> float:
+    """[T_norm * length^p / prefactor(p)]^(1/p).
+
+    With the inradius as length this is Q_p, confined to [1, R P / area);
+    with the average distance delta it is the variant Qbar_p.
+    """
+    if t_norm <= 0.0 or length <= 0.0:
         raise InvalidDomainError("q functional needs positive inputs")
-    log_q = (math.log(t_norm) + p * math.log(inradius) - math.log(prefactor(p))) / p
-    return math.exp(log_q)
-
-
-def qbar_functional(t_norm: float, delta: float, p: float) -> float:
-    """[T_norm * delta^p / prefactor(p)]^(1/p), the average-distance variant."""
-    if t_norm <= 0.0 or delta <= 0.0:
-        raise InvalidDomainError("qbar functional needs positive inputs")
-    log_q = (math.log(t_norm) + p * math.log(delta) - math.log(prefactor(p))) / p
+    log_q = (math.log(t_norm) + p * math.log(length) - math.log(prefactor(p))) / p
     return math.exp(log_q)
 
 
@@ -115,7 +111,6 @@ def corridor_verdicts(
     delta: float,
     t_norm: float,
     slack: float,
-    D: int = 2,
     sv_gap: float | None = None,
     sv_reference: float | None = None,
 ) -> list[Verdict]:
@@ -124,16 +119,16 @@ def corridor_verdicts(
     `slack` is the relative solver slack (3 x refinement error / value);
     pure-geometry windows use the fixed GEOMETRY_SLACK instead.
     """
-    bounds = corridor_endpoints(p, D, inradius, perimeter, area, delta)
+    bounds = corridor_endpoints(p, inradius, perimeter, area, delta)
     q_p = q_functional(t_norm, inradius, p)
-    qbar_p = qbar_functional(t_norm, delta, p)
+    qbar_p = q_functional(t_norm, delta, p)
     out = [
         _verdict("rigidity_inradius_lower", t_norm, bounds.hp_lower, None, slack),
         _verdict("rigidity_perimeter_upper", t_norm, None, bounds.buser_upper, slack),
         _verdict(
             "area_perimeter_window",
             area / perimeter,
-            inradius / D,
+            inradius / 2.0,
             inradius,
             GEOMETRY_SLACK,
         ),
@@ -145,16 +140,14 @@ def corridor_verdicts(
             "inradius_distance_window",
             inradius,
             2.0 * delta,
-            (D + 1) * delta,
+            3.0 * delta,
             GEOMETRY_SLACK,
         ),
         _verdict(
             "rigidity_distance_window", t_norm, bounds.delta_lower, bounds.delta_upper, slack
         ),
-        _verdict("qbar_window", qbar_p, 1.0 / (D + 1), D / 2.0, slack),
-        _verdict(
-            "limit_ratio_window", inradius / delta, 2.0, float(D + 1), GEOMETRY_SLACK
-        ),
+        _verdict("qbar_window", qbar_p, 1.0 / 3.0, 1.0, slack),
+        _verdict("limit_ratio_window", inradius / delta, 2.0, 3.0, GEOMETRY_SLACK),
     ]
     if sv_gap is not None and sv_reference:
         out.append(_verdict("saint_venant", sv_gap / abs(sv_reference), 0.0, None, slack))
@@ -166,7 +159,7 @@ def saint_venant_gap(area: float, p: float, t_p_value: float) -> float:
     if t_p_value <= 0.0:
         raise InvalidDomainError("saint_venant_gap needs a positive torsion integral")
     radius = math.sqrt(area / math.pi)
-    return ball_torsion_integral(p, 2, radius) - t_p_value
+    return ball_torsion_integral(p, radius) - t_p_value
 
 
 # -- per-shape report -------------------------------------------------------
@@ -358,7 +351,7 @@ def build_shape_report(
 def _entry_from_estimate(report: ShapeReport, p: float, est: RigidityEstimate) -> RigidityEntry:
     t_norm = normalized_rigidity(est.t_p, report.area, p)
     sv = saint_venant_gap(report.area, p, est.t_p)
-    sv_ref = ball_torsion_integral(p, 2, math.sqrt(report.area / math.pi))
+    sv_ref = ball_torsion_integral(p, math.sqrt(report.area / math.pi))
     verdicts = corridor_verdicts(
         p,
         report.area,
@@ -376,7 +369,7 @@ def _entry_from_estimate(report: ShapeReport, p: float, est: RigidityEstimate) -
         t_norm=t_norm,
         lambda_p1=lambda_p1(est.t_p, p),
         q_p=q_functional(t_norm, report.inradius, p),
-        qbar_p=qbar_functional(t_norm, report.delta, p),
+        qbar_p=q_functional(t_norm, report.delta, p),
         error_estimate=est.error_estimate,
         observed_order=est.observed_order,
         slack=est.slack,

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
 from .errors import ConvergenceError, MeshResourceError
 from .geometry import ConvexPolygon
@@ -145,33 +145,14 @@ class Mesh:
         return np.einsum("mj,mj->m", gu, gu)
 
     @cached_property
-    def boundary_edges(self) -> np.ndarray:
-        """(E, 2) node pairs of edges lying on the domain boundary."""
-        tri = self.triangles
-        e = np.sort(
-            np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1
-        )
-        uniq, counts = np.unique(e, axis=0, return_counts=True)
-        return uniq[counts == 1]
-
-    @cached_property
     def boundary_node_distances(self) -> np.ndarray:
-        """(N,) distance from each node to the boundary polyline."""
-        be = self.boundary_edges
-        a = self.nodes[be[:, 0]]
-        ab = self.nodes[be[:, 1]] - a
-        l2 = np.einsum("ej,ej->e", ab, ab)
-        l2 = np.where(l2 > 0.0, l2, 1.0)
-        best = np.full(self.n_nodes, np.inf)
-        for s in range(0, len(be), 256):
-            aa, dd, ll = a[s : s + 256], ab[s : s + 256], l2[s : s + 256]
-            t = np.einsum("nj,ej->ne", self.nodes, dd)
-            t -= np.einsum("ej,ej->e", aa, dd)
-            t = np.clip(t / ll, 0.0, 1.0)
-            proj = aa[None, :, :] + t[:, :, None] * dd[None, :, :]
-            d = np.min(np.hypot(*(self.nodes[:, None, :] - proj).transpose(2, 0, 1)), axis=1)
-            best = np.minimum(best, d)
-        return best
+        """(N,) distance from each node to the boundary: the boundary nodes
+        of a convex polygon's mesh span the polygon, so this is the distance
+        to the convex hull of the boundary nodes."""
+        hull = ConvexHull(self.nodes[self.boundary_mask])
+        return ConvexPolygon(hull.points[hull.vertices], validate=False).boundary_distances(
+            self.nodes
+        )
 
     def to_json_dict(self) -> dict:
         return {

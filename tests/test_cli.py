@@ -239,6 +239,15 @@ def test_cheeger_subcommand(capsys):
     assert data["h"] <= data["perimeter_over_area"] + 1e-12
 
 
+def test_cheeger_rejects_solver_flags(capsys):
+    # cheeger solves nothing, so it takes no refinement or solver flags
+    code, _, err = run_cli(
+        capsys, "cheeger", "--spec", '{"kind":"rectangle","L":1,"R":0.5}', "--levels", "3"
+    )
+    assert code == 1
+    assert "unrecognized arguments: --levels" in err
+
+
 def test_limits_large_p(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -7,14 +7,11 @@ import oracles
 from torsionlab import (
     ball_normalized_rigidity,
     ball_torsion_integral,
-    ball_torsion_value,
     corridor_endpoints,
     ellipse_rigidity_p2,
     family_gamma_bound,
     prefactor,
-    unit_ball_volume,
 )
-from torsionlab.closed_form import AnalyticShape
 
 
 def test_prefactor_exact_points():
@@ -31,39 +28,22 @@ def test_prefactor_small_p_limit():
     assert prefactor(1.0001) > 1.0
 
 
-def test_unit_ball_volume():
-    assert unit_ball_volume(1) == pytest.approx(2.0, abs=1e-15)
-    assert unit_ball_volume(2) == pytest.approx(math.pi, abs=1e-15)
-    assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, abs=1e-14)
-
-
 def test_ball_torsion_integral_p2():
-    assert ball_torsion_integral(2.0, 2, 1.0) == pytest.approx(math.pi / 8.0, rel=1e-14)
+    assert ball_torsion_integral(2.0, 1.0) == pytest.approx(math.pi / 8.0, rel=1e-14)
     # scaling: T_p(t B) = t^(D + p') T_p(B)
-    assert ball_torsion_integral(2.0, 2, 2.0) == pytest.approx(16.0 * math.pi / 8.0, rel=1e-13)
+    assert ball_torsion_integral(2.0, 2.0) == pytest.approx(16.0 * math.pi / 8.0, rel=1e-13)
 
 
 def test_ball_torsion_integral_matches_quadrature():
     for p in (1.5, 2.0, 3.0, 5.0, 10.0):
         ref = oracles.ball_torsion_quadrature(p)
-        assert np.isclose(ball_torsion_integral(p, 2, 1.0), ref, rtol=1e-6)
-
-
-def test_ball_profile():
-    p, R = 3.0, 1.0
-    pc = p / (p - 1.0)
-    # center value (p-1)/p * (R/2)^(1/(p-1)) * R, zero at the boundary
-    center = (p - 1.0) / p * 0.5 ** (1.0 / (p - 1.0)) * R**pc
-    assert ball_torsion_value(0.0, p) == pytest.approx(center, rel=1e-13)
-    assert ball_torsion_value(1.0, p) == pytest.approx(0.0, abs=1e-15)
-    vals = [ball_torsion_value(x, p) for x in np.linspace(0.0, 1.0, 11)]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
+        assert np.isclose(ball_torsion_integral(p, 1.0), ref, rtol=1e-6)
 
 
 def test_ball_normalized_rigidity():
     # D (D + p')^(p-1) / R^p at D = 2
     assert ball_normalized_rigidity(2.0) == pytest.approx(8.0, rel=1e-14)
-    assert ball_normalized_rigidity(2.0, 2, 0.5) == pytest.approx(32.0, rel=1e-13)
+    assert ball_normalized_rigidity(2.0, 0.5) == pytest.approx(32.0, rel=1e-13)
     p = 3.0
     expected = 2.0 * (2.0 + 1.5) ** 2.0
     assert ball_normalized_rigidity(p) == pytest.approx(expected, rel=1e-13)
@@ -72,7 +52,7 @@ def test_ball_normalized_rigidity():
 def test_ball_normalized_consistent_with_integral():
     # T_norm = |B|^(p-1) T_p^(1-p)
     for p in (1.5, 2.0, 4.0):
-        t_p = ball_torsion_integral(p, 2, 1.0)
+        t_p = ball_torsion_integral(p, 1.0)
         t_norm = math.pi ** (p - 1.0) * t_p ** (1.0 - p)
         assert np.isclose(ball_normalized_rigidity(p), t_norm, rtol=1e-12)
 
@@ -107,21 +87,8 @@ def test_family_gamma_bound_validation():
 def test_corridor_endpoints_ordering():
     # windows must be consistent for a sane geometry (unit square)
     for p in (1.5, 2.0, 5.0):
-        ends = corridor_endpoints(p, 2, 0.5, 4.0, 1.0, 1.0 / 6.0)
+        ends = corridor_endpoints(p, 0.5, 4.0, 1.0, 1.0 / 6.0)
         assert 0.0 < ends.hp_lower < ends.buser_upper
         assert ends.hp_lower < ends.buser_inradius_upper
         assert ends.delta_lower <= ends.delta_upper
         assert ends.geo_upper == pytest.approx(2.0, abs=1e-14)
-
-
-def test_analytic_shapes():
-    ball = AnalyticShape.ball(2, 1.0)
-    assert ball.normalized_rigidity(2.0) == pytest.approx(8.0, rel=1e-13)
-    box = AnalyticShape.orthotope([10.0, 1.0])
-    assert box.geo_corridor_upper == pytest.approx(1.1, rel=1e-13)
-    tri = AnalyticShape.triangle_by_measures(1.0, 12.0, 6.0)
-    assert tri.geo_corridor_upper == pytest.approx(2.0, abs=1e-14)
-    with pytest.raises(Exception):
-        AnalyticShape.ellipse(1.0, 2.0)
-    with pytest.raises(Exception):
-        AnalyticShape.triangle_by_measures(1.0, 12.0, 7.0)

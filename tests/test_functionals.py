@@ -13,7 +13,6 @@ from torsionlab import (
     normalized_rigidity,
     prefactor,
     q_functional,
-    qbar_functional,
 )
 from torsionlab.functionals import (
     CSV_COLUMNS,
@@ -71,7 +70,7 @@ def test_q_scale_invariance_formula():
 
 
 def test_qbar_window_square():
-    qbar = qbar_functional(oracles.SQUARE_T_NORM_2, 1.0 / 6.0, 2.0)
+    qbar = q_functional(oracles.SQUARE_T_NORM_2, 1.0 / 6.0, 2.0)
     assert 1.0 / 3.0 <= qbar <= 1.0
 
 

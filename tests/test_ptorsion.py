@@ -9,6 +9,7 @@ from torsionlab import (
     ConvergenceError,
     MeshResourceError,
     ball_torsion_integral,
+    make_ellipse_polygon,
     make_rectangle,
     make_regular_ngon,
     random_convex_polygon,
@@ -96,6 +97,18 @@ def test_mesh_rejects_inverted_triangles():
     boundary = np.array([True, True, True])
     with pytest.raises(MeshResourceError):
         Mesh(nodes, tris, boundary)
+
+
+def test_boundary_node_distances_match_polygon():
+    # the convex hull of a mesh's boundary nodes is the polygon itself
+    shapes = [SQUARE, make_regular_ngon(64, 1.0), make_ellipse_polygon(1000.0, 1.0, 128)]
+    shapes += [random_convex_polygon([1, i]) for i in range(5)]
+    for poly in shapes:
+        coarse = triangulate(poly, default_h0(poly))
+        for mesh in (coarse, refine(coarse)):
+            expected = poly.boundary_distances(mesh.nodes)
+            err = np.max(np.abs(mesh.boundary_node_distances - expected))
+            assert err <= 1e-13 * np.max(expected), (poly, mesh.n_nodes, err)
 
 
 def test_p2_square_matches_series_oracle():
