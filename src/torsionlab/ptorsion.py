@@ -384,6 +384,14 @@ EPS_LEVELS = tuple(10.0**-k for k in range(2, 11))
 # Newton polish on the final level stops below TOL_NEWTON.
 TOL_LAGGED = 1e-6
 TOL_NEWTON = 1e-10
+# Floor of the lagged weights relative to their maximum. At large p a
+# triangle with near-zero gradient gets weight (eps_rel^2)^((p-2)/2), down to
+# 1e-60 at p = 32; the weighted stiffness is then near-singular and the
+# lagged point lies ~1e56 times farther out than u, beyond the reach of the
+# 40 halvings, so every step is rejected. The floor bounds |u_hat| near
+# |u| / 1e-10. For 1 < p < 2 the weights stay above eps_rel^(2-p) >= 1e-10,
+# so it never binds there.
+LOG_WEIGHT_FLOOR = math.log(1e-10)
 
 
 @dataclass(frozen=True)
@@ -506,7 +514,7 @@ def solve_p_torsion(
         nonlocal lam_mem
         w_log = (0.5 * (p - 2.0)) * np.log(g + eps2)
         w_log -= w_log.max()
-        u_hat = linear_solve(np.exp(np.maximum(w_log, -575.0)))
+        u_hat = linear_solve(np.exp(np.maximum(w_log, LOG_WEIGHT_FLOOR)))
         accepted = search(u, u_hat - u, u_hat, min(1.0, 2.0 * lam_mem), j_cur, eps2, ray=True)
         if accepted is not None:
             lam_mem = accepted[2]

@@ -168,7 +168,7 @@ def test_large_p_ray_rescaling_stays_finite():
         warnings.simplefilter("error", RuntimeWarning)
         est = rigidity_with_refinement(poly, 32.0, levels=3)
     assert est.solution.converged
-    assert np.isclose(est.t_p, 0.4204580919713495, rtol=1e-12)
+    assert np.isclose(est.t_p, 0.44076589292006113, rtol=1e-12)
 
 
 def test_warm_start_matches_cold():
