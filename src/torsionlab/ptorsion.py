@@ -42,15 +42,13 @@ class Mesh:
 
     nodes: (N, 2) float array; triangles: (M, 3) int array, positively
     oriented; boundary_mask: (N,) bool; h_max: longest edge length.
-    Treated as immutable after construction; FEM work arrays are cached.
+    Immutable, with cached FEM arrays and no link to a coarser mesh.
     """
 
     def __init__(self, nodes, triangles, boundary_mask, h_max=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int32)
         self.boundary_mask = np.ascontiguousarray(boundary_mask, dtype=bool)
-        self.parent_edges = None  # set by refine(): (E, 2) parent node pairs
-        self.parent_nodes = None  # node count of the parent mesh
         self.areas = _signed_areas(self.nodes, self.triangles)
         total = float(self.areas.sum())
         if np.any(self.areas <= 1e-14 * total):
@@ -358,18 +356,7 @@ def refine(mesh: Mesh) -> Mesh:
         ]
     )
     boundary = np.concatenate([mesh.boundary_mask, counts == 1])
-    out = Mesh(nodes, children, boundary)
-    out.parent_edges = uniq
-    out.parent_nodes = n0
-    return out
-
-
-def prolong(coarse_u: np.ndarray, fine: Mesh) -> np.ndarray:
-    """Interpolate a nodal function from a mesh onto its refinement."""
-    if fine.parent_edges is None or fine.parent_nodes != len(coarse_u):
-        raise ValueError("fine mesh is not a refinement of the coarse function's mesh")
-    e = fine.parent_edges
-    return np.concatenate([coarse_u, 0.5 * (coarse_u[e[:, 0]] + coarse_u[e[:, 1]])])
+    return Mesh(nodes, children, boundary)
 
 
 # -- nonlinear solve --------------------------------------------------------
@@ -384,13 +371,10 @@ EPS_LEVELS = tuple(10.0**-k for k in range(2, 11))
 # Newton polish on the final level stops below TOL_NEWTON.
 TOL_LAGGED = 1e-6
 TOL_NEWTON = 1e-10
-# Floor of the lagged weights relative to their maximum. At large p a
-# triangle with near-zero gradient gets weight (eps_rel^2)^((p-2)/2), down to
-# 1e-60 at p = 32; the weighted stiffness is then near-singular and the
-# lagged point lies ~1e56 times farther out than u, beyond the reach of the
-# 40 halvings, so every step is rejected. The floor bounds |u_hat| near
-# |u| / 1e-10. For 1 < p < 2 the weights stay above eps_rel^(2-p) >= 1e-10,
-# so it never binds there.
+# Floor of the lagged weights relative to their maximum. Unfloored, a flat
+# triangle at p = 32 weighs (eps_rel^2)^15 ~ 1e-60 and the lagged point lands
+# ~1e56 |u| away, out of the halvings' reach; the floor keeps it near
+# |u| / 1e-10. For p < 2 the weights stay above eps_rel^(2-p) >= 1e-10.
 LOG_WEIGHT_FLOOR = math.log(1e-10)
 
 
@@ -424,11 +408,11 @@ def _energy(mesh: Mesh, u: np.ndarray, p: float, eps2: float) -> float:
     return bulk / p - float(mesh.load_vector @ u)
 
 
-def solve_p_torsion(
-    mesh: Mesh, p: float, opts: SolverOptions | None = None, u0: np.ndarray | None = None
-) -> TorsionSolution:
+def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> TorsionSolution:
     """Minimize the discrete p-torsion energy by lagged diffusivity.
 
+    It starts from the distance to the boundary for p > 8 (close to the
+    large-p minimizer), else from the p = 2 solution, moved to its best ray.
     The regularization is relative: at each level of EPS_LEVELS,
     eps = eps_rel * max |grad u| for the current iterate. Each level takes
     lagged-diffusivity steps until the energy decrease falls below
@@ -464,11 +448,7 @@ def solve_p_torsion(
         return _checked(TorsionSolution(mesh, p, u, t_p, e2, 1, True, [(0, e2)]))
 
     iterations = 0
-    if u0 is not None:
-        u = np.asarray(u0, dtype=float).copy()
-        u[mesh.boundary_mask] = 0.0
-    elif p > 8.0:
-        # for large p the minimizer is close to the boundary-distance cone
+    if p > 8.0:
         u = mesh.boundary_node_distances.copy()
         u[mesh.boundary_mask] = 0.0
     else:
@@ -666,26 +646,21 @@ def rigidity_with_refinement(
 ) -> RigidityEstimate:
     """Solve on `levels` uniformly refined meshes and extrapolate T_p.
 
-    The error estimate is the difference of the two finest levels; the
-    empirical convergence order comes from the last three levels when
-    available (clamped to [0.5, 4]).
+    Each level is solved on its own from solve_p_torsion's start, so on
+    nested meshes T_p grows with the level. The error estimate is the
+    difference of the two finest levels; the empirical convergence order
+    comes from the last three levels when available (clamped to [0.5, 4]).
     """
     if levels < 2:
         raise ValueError("refinement study needs levels >= 2")
     if h0 is None:
         h0 = default_h0(poly)
-    mesh = triangulate(poly, h0)
     values: list[float] = []
     h_values: list[float] = []
     iterations = 0
-    u_prev = None
-    sol = None
     for lvl in range(levels):
-        if lvl > 0:
-            mesh = refine(mesh)
-            u_prev = prolong(u_prev, mesh)
-        sol = solve_p_torsion(mesh, p, opts, u0=u_prev)
-        u_prev = sol.u
+        mesh = refine(mesh) if lvl else triangulate(poly, h0)
+        sol = solve_p_torsion(mesh, p, opts)
         values.append(sol.t_p)
         h_values.append(mesh.h_max)
         iterations += sol.iterations

@@ -19,7 +19,6 @@ from torsionlab.ptorsion import (
     Mesh,
     SolverOptions,
     default_h0,
-    prolong,
     refine,
     rigidity_with_refinement,
     solve_p_torsion,
@@ -80,15 +79,6 @@ def test_refine_quadruples():
     a, b, c = (fine.nodes[fine.triangles[:, k]] for k in range(3))
     areas = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
     assert np.isclose(areas.sum(), 1.0, rtol=1e-12)
-
-
-def test_prolong_reproduces_linear_functions():
-    mesh = triangulate(SQUARE, 0.3)
-    fine = refine(mesh)
-    coarse_u = 2.0 * mesh.nodes[:, 0] - 0.7 * mesh.nodes[:, 1] + 0.25
-    fine_u = prolong(coarse_u, fine)
-    expect = 2.0 * fine.nodes[:, 0] - 0.7 * fine.nodes[:, 1] + 0.25
-    assert np.allclose(fine_u, expect, atol=1e-12)
 
 
 def test_mesh_rejects_inverted_triangles():
@@ -171,11 +161,26 @@ def test_large_p_ray_rescaling_stays_finite():
     assert np.isclose(est.t_p, 0.44076589292006113, rtol=1e-12)
 
 
-def test_warm_start_matches_cold():
-    mesh = triangulate(SQUARE, 0.1)
-    cold = solve_p_torsion(mesh, 2.0)
-    warm = solve_p_torsion(mesh, 2.0, u0=np.zeros(mesh.n_nodes))
-    assert np.isclose(cold.t_p, warm.t_p, rtol=1e-12)
+def test_refinement_levels_increase_at_large_p():
+    # on nested P1 spaces the minimum energy -(1 - 1/p) T_p cannot rise, so
+    # each level's T_p grows; a solve that stops without minimizing (no
+    # accepted step, equal levels, zero error estimate) breaks this
+    cases = [
+        (random_convex_polygon([1, 5]), 32.0, 3),
+        (random_convex_polygon(0), 32.0, 3),
+        (random_convex_polygon([11, 3]), 32.0, 3),
+        (random_convex_polygon([1001, 0]), 10.0, 2),
+        (make_ellipse_polygon(4.0, 1.0, 128), 10.0, 2),
+        (make_ellipse_polygon(4.0, 1.0, 128), 32.0, 2),
+    ]
+    for poly, p, levels in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = rigidity_with_refinement(poly, p, levels=levels)
+        for coarse, fine in zip(est.values, est.values[1:]):
+            assert fine > coarse * (1.0 + 1e-4), (p, est.values)
+        assert est.error_estimate > 0.0
+        assert est.solution.energy_trace
 
 
 def test_convergence_error_carries_solution():
