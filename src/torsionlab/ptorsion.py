@@ -655,11 +655,13 @@ def rigidity_with_refinement(
         raise ValueError("refinement study needs levels >= 2")
     if h0 is None:
         h0 = default_h0(poly)
+    mesh = triangulate(poly, h0)
     values: list[float] = []
     h_values: list[float] = []
     iterations = 0
     for lvl in range(levels):
-        mesh = refine(mesh) if lvl else triangulate(poly, h0)
+        if lvl > 0:
+            mesh = refine(mesh)
         sol = solve_p_torsion(mesh, p, opts)
         values.append(sol.t_p)
         h_values.append(mesh.h_max)

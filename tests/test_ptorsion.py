@@ -173,14 +173,14 @@ def test_refinement_levels_increase_at_large_p():
         (make_ellipse_polygon(4.0, 1.0, 128), 10.0, 2),
         (make_ellipse_polygon(4.0, 1.0, 128), 32.0, 2),
     ]
-    for poly, p, levels in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for poly, p, levels in cases:
             est = rigidity_with_refinement(poly, p, levels=levels)
-        for coarse, fine in zip(est.values, est.values[1:]):
-            assert fine > coarse * (1.0 + 1e-4), (p, est.values)
-        assert est.error_estimate > 0.0
-        assert est.solution.energy_trace
+            for coarse, fine in zip(est.values, est.values[1:]):
+                assert fine > coarse * (1.0 + 1e-4), (p, est.values)
+            assert est.error_estimate > 0.0
+            assert est.solution.energy_trace
 
 
 def test_convergence_error_carries_solution():
