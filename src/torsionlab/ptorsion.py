@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import ConvexHull, Delaunay
 
@@ -102,21 +102,54 @@ class Mesh:
         return np.flatnonzero(~self.boundary_mask)
 
     @cached_property
-    def _assembly(self):
-        """Static COO pattern for the interior-reduced stiffness matrix."""
+    def _csc_plan(self):
+        """Scatter of per-triangle blocks into the interior-reduced CSC matrix.
+
+        Returns (src, slot, indices, indptr). For (M, 3, 3) blocks, the
+        entries coupling two interior nodes are blocks.ravel()[src], and
+        entry k adds into data[slot[k]] of the CSC matrix with the given
+        indices and indptr (int32, as scipy builds them).
+
+        Invariant: the result equals coo_matrix(...).tocsc() bit for bit.
+        scipy buckets the entries by column in input order, sorts each
+        column by row with csr_sort_indices and sums duplicates left to
+        right. src lists the entries in that order, recovered once from a
+        probe matrix whose data are the entries' positions, and slot is
+        nondecreasing, so np.add.at adds each sum in the same order. Its
+        start value -0.0 leaves the first term as it is; np.bincount starts
+        at +0.0, which turns a sum of -0.0 terms into +0.0.
+        """
         ni = len(self.interior_index)
-        imap = np.full(self.n_nodes, -1, dtype=np.int64)
+        imap = np.full(self.n_nodes, -1, dtype=np.intp)
         imap[self.interior_index] = np.arange(ni)
         ti = imap[self.triangles]  # (M, 3)
         rows = np.broadcast_to(ti[:, :, None], (self.n_triangles, 3, 3)).ravel()
         cols = np.broadcast_to(ti[:, None, :], (self.n_triangles, 3, 3)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        return rows[keep], cols[keep], keep, ni
+        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+        by_col = np.argsort(cols[kept], kind="stable")
+        rows, cols = rows[kept][by_col], cols[kept][by_col]
+        col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ni))))
+        probe = csc_matrix((by_col.astype(float), rows, col_ptr), shape=(ni, ni))
+        probe.sort_indices()
+        r = probe.indices
+        first = np.ones(len(r), dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.concatenate(([0], np.cumsum(first)))
+        indices = r[first]
+        indptr = starts[probe.indptr].astype(probe.indptr.dtype)
+        # every assembled matrix shares these two arrays; read-only guards them
+        indices.flags.writeable = indptr.flags.writeable = False
+        return kept[probe.data.astype(np.intp)], starts[1:] - 1, indices, indptr
 
     def _assemble(self, blocks: np.ndarray):
         """Interior-reduced CSC matrix from (M, 3, 3) per-triangle blocks."""
-        rows, cols, keep, ni = self._assembly
-        return coo_matrix((blocks.ravel()[keep], (rows, cols)), shape=(ni, ni)).tocsc()
+        src, slot, indices, indptr = self._csc_plan
+        data = np.full(len(indices), -0.0)
+        np.add.at(data, slot, blocks.ravel()[src])
+        n = len(indptr) - 1
+        a = csc_matrix((data, indices, indptr), shape=(n, n))
+        a.has_canonical_format = True
+        return a
 
     def stiffness(self, weights: np.ndarray):
         """Interior-reduced weighted stiffness matrix (CSC)."""
@@ -125,11 +158,11 @@ class Mesh:
     def energy_hessian(self, u: np.ndarray, p: float, eps2: float):
         """Interior-reduced Hessian of the regularized energy at u, or None
         if its entries are not finite (wild iterate)."""
-        g = self.gradient_squares(u)
+        gu = np.einsum("mi,mij->mj", u[self.triangles], self.grads)
+        g = np.einsum("mj,mj->m", gu, gu)
         with np.errstate(over="ignore", invalid="ignore"):
             w = (g + eps2) ** ((p - 2.0) / 2.0)
             c = (p - 2.0) * (g + eps2) ** ((p - 4.0) / 2.0)
-        gu = np.einsum("mi,mij->mj", u[self.triangles], self.grads)
         q = np.einsum("mj,mij->mi", gu, self.grads)
         blocks = w[:, None, None] * self.k_local
         blocks += (c * self.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
@@ -408,6 +441,27 @@ def _energy(mesh: Mesh, u: np.ndarray, p: float, eps2: float) -> float:
     return bulk / p - float(mesh.load_vector @ u)
 
 
+def _ray_rescaled(mesh: Mesh, v: np.ndarray, p: float) -> np.ndarray:
+    """Exact minimizer of J over the ray {s v}: s = (b.v / E_p(v))^(1/(p-1)).
+
+    Returns v itself when there is no ray minimizer to compute: v is zero,
+    b.v <= 0, or a squared gradient or b.v is not finite. log s is clamped
+    to [-700, 700], where exp(log s) is finite.
+    """
+    g = mesh.gradient_squares(v)
+    g_top = float(g.max())
+    f = float(mesh.load_vector @ v)
+    if not (0.0 < g_top < math.inf and 0.0 < f < math.inf):
+        return v
+    # scale out g_top so the p/2 power cannot overflow
+    e_scaled = float(np.sum(mesh.areas * (g / g_top) ** (p / 2.0)))
+    log_e = 0.5 * p * math.log(g_top) + math.log(e_scaled)
+    log_s = (math.log(f) - log_e) / (p - 1.0)
+    if abs(log_s) > 700.0:
+        log_s = math.copysign(700.0, log_s)
+    return v * math.exp(log_s)
+
+
 def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> TorsionSolution:
     """Minimize the discrete p-torsion energy by lagged diffusivity.
 
@@ -455,21 +509,6 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
         u = linear_solve(np.ones(mesh.n_triangles))
         iterations = 1
 
-    def rescaled(v: np.ndarray) -> np.ndarray:
-        # exact minimizer of J over the ray {s v}: s = (b.v / E_p(v))^(1/(p-1))
-        g = mesh.gradient_squares(v)
-        g_top = float(g.max())
-        f = float(load @ v)
-        if not (0.0 < g_top < math.inf and 0.0 < f < math.inf):
-            return v
-        # scale out g_top so the p/2 power cannot overflow
-        e_scaled = float(np.sum(mesh.areas * (g / g_top) ** (p / 2.0)))
-        log_e = 0.5 * p * math.log(g_top) + math.log(e_scaled)
-        log_s = (math.log(f) - log_e) / (p - 1.0)
-        if abs(log_s) > 700.0:
-            log_s = math.copysign(700.0, log_s)
-        return v * math.exp(log_s)
-
     def search(u, d, u_one, lam, j_cur, eps2, ray):
         """Halve lam until the step does not raise the energy at eps2.
 
@@ -480,7 +519,7 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
             cand = u_one if lam == 1.0 else u + lam * d
             j_c = _energy(mesh, cand, p, eps2)
             if ray:
-                cand2 = rescaled(cand)
+                cand2 = _ray_rescaled(mesh, cand, p)
                 j_c2 = _energy(mesh, cand2, p, eps2)
                 if j_c2 < j_c:
                     cand, j_c = cand2, j_c2
@@ -517,7 +556,7 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
             return None
         return nodal(d_int) if np.all(np.isfinite(d_int)) else None
 
-    u = rescaled(u)
+    u = _ray_rescaled(mesh, u, p)
     trace: list = []
     converged = False
     lam_mem = 1.0
@@ -581,7 +620,7 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
             break
     # on the optimal ray b.u equals the p-energy, so the reported integral
     # stays a lower bound of the discrete optimum even if slightly unconverged
-    u_ray = rescaled(u)
+    u_ray = _ray_rescaled(mesh, u, p)
     if _energy(mesh, u_ray, p, 0.0) <= _energy(mesh, u, p, 0.0):
         u = u_ray
     t_p = float(load @ u)

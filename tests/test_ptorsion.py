@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 import oracles
 from torsionlab import (
@@ -18,6 +19,7 @@ from torsionlab import (
 from torsionlab.ptorsion import (
     Mesh,
     SolverOptions,
+    _ray_rescaled,
     default_h0,
     refine,
     rigidity_with_refinement,
@@ -99,6 +101,101 @@ def test_boundary_node_distances_match_polygon():
             expected = poly.boundary_distances(mesh.nodes)
             err = np.max(np.abs(mesh.boundary_node_distances - expected))
             assert err <= 1e-13 * np.max(expected), (poly, mesh.n_nodes, err)
+
+
+def _coo_reference(mesh, blocks):
+    """Interior-reduced matrix from (M, 3, 3) blocks, summed by scipy's COO -> CSC."""
+    ni = len(mesh.interior_index)
+    imap = np.full(mesh.n_nodes, -1)
+    imap[mesh.interior_index] = np.arange(ni)
+    ti = imap[mesh.triangles]
+    rows = np.broadcast_to(ti[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(ti[:, None, :], blocks.shape).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return coo_matrix((blocks.ravel()[keep], (rows[keep], cols[keep])), shape=(ni, ni)).tocsc()
+
+
+def _assert_same_bits(a, ref, label):
+    assert a.format == "csc" and a.shape == ref.shape, label
+    assert a.indptr.dtype == ref.indptr.dtype and a.indices.dtype == ref.indices.dtype, label
+    assert np.array_equal(a.indptr, ref.indptr), label
+    assert np.array_equal(a.indices, ref.indices), label
+    assert a.data.tobytes() == ref.data.tobytes(), label
+
+
+def test_assembly_matches_coo_reference():
+    # the precomputed CSC plan sums each entry's duplicates in scipy's COO ->
+    # CSC order, so every stiffness and Newton matrix is the same to the bit
+    rng = np.random.default_rng(8)
+    for poly in (SQUARE, random_convex_polygon(0)):  # structured, Delaunay
+        mesh = triangulate(poly, default_h0(poly))
+        for lvl in range(3):
+            if lvl:
+                mesh = refine(mesh)
+            m = mesh.n_triangles
+            w = np.exp(5.0 * rng.standard_normal(m))
+            # zero weights make -0.0 blocks: a sum of -0.0 terms stays -0.0
+            for weights in (w, np.zeros(m)):
+                _assert_same_bits(
+                    mesh.stiffness(weights),
+                    _coo_reference(mesh, mesh.k_local * weights[:, None, None]),
+                    (poly, lvl, "stiffness"),
+                )
+            u = mesh.boundary_node_distances * (1.0 + rng.random(mesh.n_nodes))
+            u[mesh.boundary_mask] = 0.0
+            g = mesh.gradient_squares(u)
+            gu = np.einsum("mi,mij->mj", u[mesh.triangles], mesh.grads)
+            q = np.einsum("mj,mij->mi", gu, mesh.grads)
+            for p in (1.05, 3.0, 32.0):
+                for eps_rel in (1e-2, 1e-10):
+                    eps2 = eps_rel * eps_rel * float(g.max())
+                    w = (g + eps2) ** ((p - 2.0) / 2.0)
+                    c = (p - 2.0) * (g + eps2) ** ((p - 4.0) / 2.0)
+                    blocks = w[:, None, None] * mesh.k_local
+                    blocks += (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
+                    hess = mesh.energy_hessian(u, p, eps2)
+                    assert hess is not None
+                    _assert_same_bits(hess, _coo_reference(mesh, blocks), (poly, lvl, p, eps_rel))
+
+
+def test_ray_rescaling_branches():
+    # dyadic node coordinates: the gradient of a constant is exactly zero
+    mesh = triangulate(SQUARE, 0.125)
+    d = mesh.boundary_node_distances.copy()
+    d[mesh.boundary_mask] = 0.0
+
+    def b_dot_and_energy(v, p):
+        return mesh.load_vector @ v, np.sum(mesh.areas * mesh.gradient_squares(v) ** (p / 2.0))
+
+    # J(s v) = s^p E_p(v) / p - s b.v is stationary where b.v = E_p
+    for p in (1.5, 3.0, 32.0):
+        f, e = b_dot_and_energy(_ray_rescaled(mesh, d, p), p)
+        assert np.isclose(f, e, rtol=1e-12), p
+    # no minimizer to compute: the zero function, a constant (zero gradient,
+    # b.v > 0), b.v <= 0, and squared gradients that overflow to inf come
+    # back unchanged
+    zero = np.zeros(mesh.n_nodes)
+    assert _ray_rescaled(mesh, zero, 3.0) is zero
+    const = np.ones(mesh.n_nodes)
+    assert mesh.gradient_squares(const).max() == 0.0
+    assert _ray_rescaled(mesh, const, 3.0) is const
+    below = -d
+    assert mesh.load_vector @ below < 0.0
+    assert _ray_rescaled(mesh, below, 3.0) is below
+    huge = 1e200 * d
+    assert mesh.gradient_squares(huge).max() == math.inf
+    assert _ray_rescaled(mesh, huge, 32.0) is huge
+    # near p = 1, log s = log(b.v / E_p) / (p - 1) is clamped to +-700
+    f, e = b_dot_and_energy(d, 1.001)
+    assert math.log(f / e) / 0.001 < -700.0
+    assert np.array_equal(_ray_rescaled(mesh, d, 1.001), d * math.exp(-700.0))
+    big = triangulate(scale(SQUARE, 1000.0), 100.0)
+    d_big = big.boundary_node_distances.copy()
+    d_big[big.boundary_mask] = 0.0
+    f = big.load_vector @ d_big
+    e = np.sum(big.areas * big.gradient_squares(d_big) ** 0.5005)
+    assert math.log(f / e) / 0.001 > 700.0
+    assert np.array_equal(_ray_rescaled(big, d_big, 1.001), d_big * math.exp(700.0))
 
 
 def test_p2_square_matches_series_oracle():
