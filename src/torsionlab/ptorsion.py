@@ -108,19 +108,22 @@ class Mesh:
         Returns (src, slot, indices, indptr). For (M, 3, 3) blocks, the
         entries coupling two interior nodes are blocks.ravel()[src], and
         entry k adds into data[slot[k]] of the CSC matrix with the given
-        indices and indptr (int32, as scipy builds them).
+        indices and indptr. Those two are int32, as scipy builds them; src
+        and slot stay intp, which indexing and np.add.at would otherwise
+        convert to on every call.
 
         Invariant: the result equals coo_matrix(...).tocsc() bit for bit.
         scipy buckets the entries by column in input order, sorts each
         column by row with csr_sort_indices and sums duplicates left to
-        right. src lists the entries in that order, recovered once from a
-        probe matrix whose data are the entries' positions, and slot is
-        nondecreasing, so np.add.at adds each sum in the same order. Its
-        start value -0.0 leaves the first term as it is; np.bincount starts
-        at +0.0, which turns a sum of -0.0 terms into +0.0.
+        right. src lists the entries in that order, read once from a probe
+        matrix whose data are the entries' positions, and slot is
+        nondecreasing, so np.add.at adds each sum's terms left to right.
+        The sums start from -0.0, which leaves the first term unchanged;
+        np.bincount starts from +0.0 and would turn a sum of -0.0 terms
+        into +0.0.
         """
         ni = len(self.interior_index)
-        imap = np.full(self.n_nodes, -1, dtype=np.intp)
+        imap = np.full(self.n_nodes, -1, dtype=np.int64)
         imap[self.interior_index] = np.arange(ni)
         ti = imap[self.triangles]  # (M, 3)
         rows = np.broadcast_to(ti[:, :, None], (self.n_triangles, 3, 3)).ravel()
@@ -148,7 +151,7 @@ class Mesh:
         np.add.at(data, slot, blocks.ravel()[src])
         n = len(indptr) - 1
         a = csc_matrix((data, indices, indptr), shape=(n, n))
-        a.has_canonical_format = True
+        a.has_canonical_format = True  # sorted and duplicate-free, as tocsc() leaves it
         return a
 
     def stiffness(self, weights: np.ndarray):
