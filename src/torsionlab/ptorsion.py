@@ -6,7 +6,9 @@ boundary. The nonlinearity is handled by lagged diffusivity: repeated
 linear solves with per-triangle weights (|grad u|^2 + eps^2)^((p-2)/2),
 driving eps down a continuation schedule. Gradients of piecewise-linear
 functions are constant per triangle, so energies, weights and the torsion
-integral are all exact.
+integral are all exact. Every linear system is symmetric positive definite
+on the mesh's interior nodes; it is assembled straight into LAPACK band
+storage in reverse Cuthill-McKee order and solved by banded Cholesky.
 
 Axis-aligned rectangles get a structured criss-cross mesh (exactly
 symmetric, robust for aspect ratios in the thousands); every other polygon
@@ -21,14 +23,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.spatial import ConvexHull, Delaunay
 
 from .errors import ConvergenceError, MeshResourceError
 from .geometry import ConvexPolygon
 
 NODE_BUDGET = 2_000_000
+# Doubles one band matrix may hold: 1 GiB.
+BAND_BUDGET = 2**30 // 8
 
 # Interior hexagonal lattice spacing relative to h_target, and the minimum
 # clearance between lattice points and the boundary chain (in lattice
@@ -37,12 +43,44 @@ LATTICE_FACTOR = 0.85
 CLEARANCE_FACTOR = 0.45
 
 
+@dataclass
+class BandMatrix:
+    """SPD matrix in LAPACK lower band storage, its unknowns in the order perm.
+
+    Entry (i, j), j <= i, of the permuted matrix is ab[i - j, j] of the
+    Fortran-ordered (kd + 1, n) array ab; nnz counts the full matrix's
+    nonzeros. spsolve factors ab in place, so a matrix is solved once.
+    Lower storage: LAPACK's unblocked band Cholesky (kd < 32) then makes
+    unit-stride rank-1 updates, which OpenBLAS keeps on one thread; upper
+    storage factored 5x slower with two OpenBLAS threads than with one at
+    kd = 30."""
+
+    ab: np.ndarray | None
+    perm: np.ndarray
+    nnz: int
+
+
+def spsolve(a: BandMatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve a x = rhs by banded Cholesky (LAPACK dpbtrf/dpbtrs), consuming a.
+
+    Raises numpy.linalg.LinAlgError if a is not positive definite."""
+    ab, a.ab = a.ab, None  # factored in place: a second solve must not reuse it
+    ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise LinAlgError(f"band matrix is not positive definite (dpbtrf info {info})")
+    x, _ = dpbtrs(ab, rhs[a.perm], lower=1, overwrite_b=1)
+    out = np.empty_like(x)
+    out[a.perm] = x
+    return out
+
+
 class Mesh:
     """Conforming triangulation of a convex polygon.
 
     nodes: (N, 2) float array; triangles: (M, 3) int array, positively
     oriented; boundary_mask: (N,) bool; h_max: longest edge length.
-    Immutable, with cached FEM arrays and no link to a coarser mesh.
+    Immutable, with cached FEM arrays (among them the band plan that
+    orders the interior nodes) and no link to a coarser mesh.
     """
 
     def __init__(self, nodes, triangles, boundary_mask, h_max=None):
@@ -102,25 +140,15 @@ class Mesh:
         return np.flatnonzero(~self.boundary_mask)
 
     @cached_property
-    def _csc_plan(self):
-        """Scatter of per-triangle blocks into the interior-reduced CSC matrix.
+    def _band_plan(self):
+        """Scatter of per-triangle blocks into the interior-reduced band matrix.
 
-        Returns (src, slot, indices, indptr). For (M, 3, 3) blocks, the
-        entries coupling two interior nodes are blocks.ravel()[src], and
-        entry k adds into data[slot[k]] of the CSC matrix with the given
-        indices and indptr. Those two are int32, as scipy builds them; src
-        and slot stay intp, which indexing and np.add.at would otherwise
-        convert to on every call.
-
-        Invariant: the result equals coo_matrix(...).tocsc() bit for bit.
-        scipy buckets the entries by column in input order, sorts each
-        column by row with csr_sort_indices and sums duplicates left to
-        right. src lists the entries in that order, read once from a probe
-        matrix whose data are the entries' positions, and slot is
-        nondecreasing, so np.add.at adds each sum's terms left to right.
-        The sums start from -0.0, which leaves the first term unchanged;
-        np.bincount starts from +0.0 and would turn a sum of -0.0 terms
-        into +0.0.
+        Returns (src, slot, perm, kd, nnz). The interior unknowns are taken
+        in reverse Cuthill-McKee order perm, which confines the matrix to
+        half-bandwidth kd. For (M, 3, 3) blocks, the lower-triangle entries
+        coupling two interior nodes are blocks.ravel()[src], and entry k adds
+        into element slot[k] of the Fortran-ordered (kd + 1, n) LAPACK lower
+        band array. nnz counts the distinct nonzeros of the full matrix.
         """
         ni = len(self.interior_index)
         imap = np.full(self.n_nodes, -1, dtype=np.int64)
@@ -129,38 +157,34 @@ class Mesh:
         rows = np.broadcast_to(ti[:, :, None], (self.n_triangles, 3, 3)).ravel()
         cols = np.broadcast_to(ti[:, None, :], (self.n_triangles, 3, 3)).ravel()
         kept = np.flatnonzero((rows >= 0) & (cols >= 0))
-        by_col = np.argsort(cols[kept], kind="stable")
-        rows, cols = rows[kept][by_col], cols[kept][by_col]
-        col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ni))))
-        probe = csc_matrix((by_col.astype(float), rows, col_ptr), shape=(ni, ni))
-        probe.sort_indices()
-        r = probe.indices
-        first = np.ones(len(r), dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.concatenate(([0], np.cumsum(first)))
-        indices = r[first]
-        indptr = starts[probe.indptr].astype(probe.indptr.dtype)
-        # every assembled matrix shares these two arrays; read-only guards them
-        indices.flags.writeable = indptr.flags.writeable = False
-        return kept[probe.data.astype(np.intp)], starts[1:] - 1, indices, indptr
+        rows, cols = rows[kept], cols[kept]
+        graph = csr_matrix((np.ones(len(kept)), (rows, cols)), shape=(ni, ni))
+        perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.intp)
+        inv = np.argsort(perm)
+        rows, cols = inv[rows], inv[cols]
+        lower = rows >= cols
+        kd = int((rows - cols).max(initial=0))
+        if (kd + 1) * ni > BAND_BUDGET:
+            raise MeshResourceError(f"a {kd + 1} x {ni} band exceeds {BAND_BUDGET} doubles")
+        slot = (rows - cols)[lower] + (kd + 1) * cols[lower]
+        nnz = len(np.unique(rows * ni + cols))
+        return kept[lower], slot, perm, kd, nnz
 
-    def _assemble(self, blocks: np.ndarray):
-        """Interior-reduced CSC matrix from (M, 3, 3) per-triangle blocks."""
-        src, slot, indices, indptr = self._csc_plan
-        data = np.full(len(indices), -0.0)
-        np.add.at(data, slot, blocks.ravel()[src])
-        n = len(indptr) - 1
-        a = csc_matrix((data, indices, indptr), shape=(n, n))
-        a.has_canonical_format = True  # sorted and duplicate-free, as tocsc() leaves it
-        return a
+    def _assemble(self, blocks: np.ndarray) -> BandMatrix:
+        """Interior-reduced band matrix from (M, 3, 3) per-triangle blocks."""
+        src, slot, perm, kd, nnz = self._band_plan
+        n = len(perm)
+        data = np.bincount(slot, weights=blocks.ravel()[src], minlength=(kd + 1) * n)
+        return BandMatrix(data.reshape(n, kd + 1).T, perm, nnz)
 
-    def stiffness(self, weights: np.ndarray):
-        """Interior-reduced weighted stiffness matrix (CSC)."""
+    def stiffness(self, weights: np.ndarray) -> BandMatrix:
+        """Interior-reduced weighted stiffness matrix."""
         return self._assemble(self.k_local * weights[:, None, None])
 
     def energy_hessian(self, u: np.ndarray, p: float, eps2: float):
-        """Interior-reduced Hessian of the regularized energy at u, or None
-        if its entries are not finite (wild iterate)."""
+        """(Hessian, gradient) at u of (1/p) int (|grad u|^2 + eps2)^(p/2),
+        interior-reduced; the gradient is K(w) u for the lagged weights w,
+        formed per triangle. None if the Hessian is not finite (wild iterate)."""
         gu = np.einsum("mi,mij->mj", u[self.triangles], self.grads)
         g = np.einsum("mj,mj->m", gu, gu)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -171,7 +195,10 @@ class Mesh:
         blocks += (c * self.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
         if not np.all(np.isfinite(blocks)):
             return None
-        return self._assemble(blocks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = ((w * self.areas)[:, None] * q).ravel()
+        grad = np.bincount(self.triangles.ravel(), weights=grad, minlength=self.n_nodes)
+        return self._assemble(blocks), grad[self.interior_index]
 
     def gradient_squares(self, u: np.ndarray) -> np.ndarray:
         """(M,) squared gradient magnitudes of a nodal function."""
@@ -437,21 +464,23 @@ class TorsionSolution:
     energy_trace: list
 
 
-def _energy(mesh: Mesh, u: np.ndarray, p: float, eps2: float) -> float:
-    g = mesh.gradient_squares(u)
+def _energy(mesh: Mesh, u: np.ndarray, p: float, eps2: float, g=None) -> float:
+    """Regularized energy at u; g, if given, is mesh.gradient_squares(u)."""
+    g = mesh.gradient_squares(u) if g is None else g
     with np.errstate(over="ignore"):
         bulk = float(np.sum(mesh.areas * (g + eps2) ** (p / 2.0)))
     return bulk / p - float(mesh.load_vector @ u)
 
 
-def _ray_rescaled(mesh: Mesh, v: np.ndarray, p: float) -> np.ndarray:
+def _ray_rescaled(mesh: Mesh, v: np.ndarray, p: float, g=None) -> np.ndarray:
     """Exact minimizer of J over the ray {s v}: s = (b.v / E_p(v))^(1/(p-1)).
 
-    Returns v itself when there is no ray minimizer to compute: v is zero,
-    b.v <= 0, or a squared gradient or b.v is not finite. log s is clamped
-    to [-700, 700], where exp(log s) is finite.
+    g, if given, is mesh.gradient_squares(v). Returns v itself when there
+    is no ray minimizer to compute: v is zero, b.v <= 0, or a squared
+    gradient or b.v is not finite. log s is clamped to [-700, 700], where
+    exp(log s) is finite.
     """
-    g = mesh.gradient_squares(v)
+    g = mesh.gradient_squares(v) if g is None else g
     g_top = float(g.max())
     f = float(mesh.load_vector @ v)
     if not (0.0 < g_top < math.inf and 0.0 < f < math.inf):
@@ -496,7 +525,10 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
         return out
 
     def linear_solve(weights: np.ndarray) -> np.ndarray:
-        return nodal(spsolve(mesh.stiffness(weights), b_int))
+        try:
+            return nodal(spsolve(mesh.stiffness(weights), b_int))
+        except LinAlgError as exc:
+            raise ConvergenceError(f"p-torsion solve (p={p}): {exc}") from exc
 
     if p == 2.0:
         u = linear_solve(np.ones(mesh.n_triangles))
@@ -520,9 +552,10 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
         40 halvings."""
         for _ in range(40):
             cand = u_one if lam == 1.0 else u + lam * d
-            j_c = _energy(mesh, cand, p, eps2)
+            g_c = mesh.gradient_squares(cand)
+            j_c = _energy(mesh, cand, p, eps2, g_c)
             if ray:
-                cand2 = _ray_rescaled(mesh, cand, p)
+                cand2 = _ray_rescaled(mesh, cand, p, g_c)
                 j_c2 = _energy(mesh, cand2, p, eps2)
                 if j_c2 < j_c:
                     cand, j_c = cand2, j_c2
@@ -542,20 +575,16 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
             lam_mem = accepted[2]
         return accepted
 
-    def newton_step(u, g, eps2):
-        # Newton direction of the regularized energy, or None if the
-        # Hessian or the direction is not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            w_true = (g + eps2) ** ((p - 2.0) / 2.0)
-        if not np.all(np.isfinite(w_true)):
+    def newton_step(u, eps2):
+        # Newton direction of the regularized energy, or None if the Hessian
+        # is not finite or not positive definite, or the direction is not finite
+        hess_grad = mesh.energy_hessian(u, p, eps2)
+        if hess_grad is None:
             return None
-        hess = mesh.energy_hessian(u, p, eps2)
-        if hess is None:
-            return None
-        residual = b_int - mesh.stiffness(w_true) @ u[interior]
+        hess, grad = hess_grad
         try:
-            d_int = spsolve(hess, residual)
-        except Exception:
+            d_int = spsolve(hess, b_int - grad)
+        except LinAlgError:
             return None
         return nodal(d_int) if np.all(np.isfinite(d_int)) else None
 
@@ -599,9 +628,8 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
     # counts as the floating-point floor; the lagged step depends only on u,
     # eps and lam_mem, so one already rejected from this u is not repeated
     while iterations < opts.max_iters:
-        g = mesh.gradient_squares(u)
         accepted = None
-        d = newton_step(u, g, eps2)
+        d = newton_step(u, eps2)
         if d is not None:
             iterations += 1
             accepted = search(u, d, u + d, 1.0, j_cur, eps2, ray=False)
@@ -609,7 +637,7 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
             if iterations >= opts.max_iters:
                 break
             iterations += 1
-            accepted = lagged_step(u, g, eps2, j_cur)
+            accepted = lagged_step(u, mesh.gradient_squares(u), eps2, j_cur)
         if accepted is None:
             converged = True  # stationary to float precision
             break

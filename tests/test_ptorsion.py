@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
 
 import oracles
 from torsionlab import (
@@ -16,6 +15,7 @@ from torsionlab import (
     random_convex_polygon,
     scale,
 )
+from torsionlab import ptorsion
 from torsionlab.ptorsion import (
     Mesh,
     SolverOptions,
@@ -24,6 +24,7 @@ from torsionlab.ptorsion import (
     refine,
     rigidity_with_refinement,
     solve_p_torsion,
+    spsolve,
     triangulate,
 )
 
@@ -103,8 +104,10 @@ def test_boundary_node_distances_match_polygon():
             assert err <= 1e-13 * np.max(expected), (poly, mesh.n_nodes, err)
 
 
-def _coo_reference(mesh, blocks):
-    """Interior-reduced matrix from (M, 3, 3) blocks, summed by scipy's COO -> CSC."""
+def _dense_reference(mesh, blocks, block_mags=None):
+    """Interior-reduced dense matrix from (M, 3, 3) blocks, summed by np.add.at,
+    with the sum of the terms' magnitudes (block_mags, default |blocks|) and
+    the nonzero pattern."""
     ni = len(mesh.interior_index)
     imap = np.full(mesh.n_nodes, -1)
     imap[mesh.interior_index] = np.arange(ni)
@@ -112,20 +115,41 @@ def _coo_reference(mesh, blocks):
     rows = np.broadcast_to(ti[:, :, None], blocks.shape).ravel()
     cols = np.broadcast_to(ti[:, None, :], blocks.shape).ravel()
     keep = (rows >= 0) & (cols >= 0)
-    return coo_matrix((blocks.ravel()[keep], (rows[keep], cols[keep])), shape=(ni, ni)).tocsc()
+    at = (rows[keep], cols[keep])
+    ref, mag = np.zeros((ni, ni)), np.zeros((ni, ni))
+    np.add.at(ref, at, blocks.ravel()[keep])
+    if block_mags is None:
+        block_mags = np.abs(blocks)
+    np.add.at(mag, at, block_mags.ravel()[keep])
+    pattern = np.zeros((ni, ni), dtype=bool)
+    pattern[at] = True
+    return ref, mag, pattern
 
 
-def _assert_same_bits(a, ref, label):
-    assert a.format == "csc" and a.shape == ref.shape, label
-    assert a.indptr.dtype == ref.indptr.dtype and a.indices.dtype == ref.indices.dtype, label
-    assert np.array_equal(a.indptr, ref.indptr), label
-    assert np.array_equal(a.indices, ref.indices), label
-    assert a.data.tobytes() == ref.data.tobytes(), label
+def _band_to_dense(a):
+    """The full matrix a band matrix holds, in the interior's own order."""
+    kd1, n = a.ab.shape
+    low = np.zeros((n, n))
+    for d in range(kd1):
+        j = np.arange(n - d)
+        low[j + d, j] = a.ab[d, j]
+    out = np.empty((n, n))
+    out[np.ix_(a.perm, a.perm)] = low + np.tril(low, -1).T
+    return out
 
 
-def test_assembly_matches_coo_reference():
-    # the precomputed CSC plan sums each entry's duplicates in scipy's COO ->
-    # CSC order, so every stiffness and Newton matrix is the same to the bit
+def _assert_matches_reference(a, blocks, mesh, label, block_mags=None):
+    ref, mag, pattern = _dense_reference(mesh, blocks, block_mags)
+    assert a.nnz == np.count_nonzero(pattern), label
+    # each entry sums a few terms; the band holds one triangle of blocks that
+    # are symmetric up to rounding; no entry lies outside the band
+    err = np.abs(_band_to_dense(a) - ref)
+    assert np.all(err <= 16 * np.finfo(float).eps * mag), label
+
+
+def test_band_assembly_matches_dense_reference():
+    # the RCM band holds every entry of the stiffness and Newton matrices,
+    # equal to a dense np.add.at sum up to rounding
     rng = np.random.default_rng(8)
     for poly in (SQUARE, random_convex_polygon(0)):  # structured, Delaunay
         mesh = triangulate(poly, default_h0(poly))
@@ -134,13 +158,9 @@ def test_assembly_matches_coo_reference():
                 mesh = refine(mesh)
             m = mesh.n_triangles
             w = np.exp(5.0 * rng.standard_normal(m))
-            # zero weights make -0.0 blocks: a sum of -0.0 terms stays -0.0
             for weights in (w, np.zeros(m)):
-                _assert_same_bits(
-                    mesh.stiffness(weights),
-                    _coo_reference(mesh, mesh.k_local * weights[:, None, None]),
-                    (poly, lvl, "stiffness"),
-                )
+                blocks = mesh.k_local * weights[:, None, None]
+                _assert_matches_reference(mesh.stiffness(weights), blocks, mesh, (poly, lvl))
             u = mesh.boundary_node_distances * (1.0 + rng.random(mesh.n_nodes))
             u[mesh.boundary_mask] = 0.0
             g = mesh.gradient_squares(u)
@@ -151,11 +171,76 @@ def test_assembly_matches_coo_reference():
                     eps2 = eps_rel * eps_rel * float(g.max())
                     w = (g + eps2) ** ((p - 2.0) / 2.0)
                     c = (p - 2.0) * (g + eps2) ** ((p - 4.0) / 2.0)
-                    blocks = w[:, None, None] * mesh.k_local
-                    blocks += (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
-                    hess = mesh.energy_hessian(u, p, eps2)
-                    assert hess is not None
-                    _assert_same_bits(hess, _coo_reference(mesh, blocks), (poly, lvl, p, eps_rel))
+                    k_w = w[:, None, None] * mesh.k_local
+                    k_c = (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
+                    label = (poly, lvl, p, eps_rel)
+                    hess, grad = mesh.energy_hessian(u, p, eps2)
+                    _assert_matches_reference(
+                        hess, k_w + k_c, mesh, label, np.abs(k_w) + np.abs(k_c)
+                    )
+                    # the matrix-free gradient is K(w) u
+                    k_ref, k_mag, _ = _dense_reference(mesh, k_w)
+                    u_int = u[mesh.interior_index]
+                    bound = 64 * np.finfo(float).eps * (k_mag @ np.abs(u_int))
+                    assert np.all(np.abs(grad - k_ref @ u_int) <= bound), label
+
+
+def test_band_solve_matches_dense_solve():
+    rng = np.random.default_rng(9)
+    poly = random_convex_polygon(0)
+    mesh = refine(triangulate(poly, default_h0(poly)))
+    a = mesh.stiffness(1.0 + rng.random(mesh.n_triangles))
+    dense = _band_to_dense(a)
+    rhs = rng.standard_normal(len(a.perm))
+    x_ref = np.linalg.solve(dense, rhs)
+    x = spsolve(a, rhs)
+    assert a.ab is None  # factored in place and given up
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_indefinite_band_matrix_raises():
+    mesh = triangulate(SQUARE, 0.2)
+    weights = np.ones(mesh.n_triangles)
+    inner = np.flatnonzero(~mesh.boundary_mask[mesh.triangles].any(axis=1))
+    weights[inner[0]] = -1e3  # a triangle with three interior vertices
+    with pytest.raises(np.linalg.LinAlgError):
+        spsolve(mesh.stiffness(weights), mesh.load_vector[mesh.interior_index])
+
+
+def test_band_budget_raises(monkeypatch):
+    monkeypatch.setattr(ptorsion, "BAND_BUDGET", 100)
+    mesh = triangulate(SQUARE, 0.05)
+    with pytest.raises(MeshResourceError):
+        mesh.stiffness(np.ones(mesh.n_triangles))
+    with pytest.raises(MeshResourceError):
+        solve_p_torsion(triangulate(SQUARE, 0.05), 3.0)
+
+
+def test_failed_linear_solve_is_a_convergence_error(monkeypatch):
+    # a start or lagged solve that LAPACK rejects never ends as "converged"
+    def not_positive_definite(a, rhs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(ptorsion, "spsolve", not_positive_definite)
+    mesh = triangulate(SQUARE, 0.2)
+    for p in (2.0, 3.0, 16.0):  # p = 2, the p = 2 start, a lagged step
+        with pytest.raises(ConvergenceError):
+            solve_p_torsion(mesh, p)
+
+
+def test_rejected_newton_solve_falls_back_to_lagged_steps(monkeypatch):
+    mesh = triangulate(SQUARE, 0.2)
+    ref = solve_p_torsion(mesh, 3.0)
+    hessian = Mesh.energy_hessian
+
+    def indefinite_hessian(self, u, p, eps2):
+        hess, grad = hessian(self, u, p, eps2)
+        hess.ab[0] *= -1.0  # negative diagonal: LAPACK rejects every Newton system
+        return hess, grad
+
+    monkeypatch.setattr(Mesh, "energy_hessian", indefinite_hessian)
+    sol = solve_p_torsion(mesh, 3.0)
+    assert sol.converged and abs(sol.t_p - ref.t_p) <= 1e-5 * ref.t_p
 
 
 def test_ray_rescaling_branches():
