@@ -19,6 +19,7 @@ interior hexagonal lattice, followed by one smoothing pass.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,14 +81,16 @@ class Mesh:
     nodes: (N, 2) float array; triangles: (M, 3) int array, positively
     oriented; boundary_mask: (N,) bool; h_max: longest edge length.
     Immutable, with cached FEM arrays (among them the band plan that
-    orders the interior nodes) and no link to a coarser mesh.
+    orders the interior nodes) and no link to a coarser mesh. Every array
+    it holds, given or cached, is read-only: rigidity_with_refinement
+    caches the meshes of each polygon and solves every p on the same ones.
     """
 
     def __init__(self, nodes, triangles, boundary_mask, h_max=None):
-        self.nodes = np.ascontiguousarray(nodes, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int32)
-        self.boundary_mask = np.ascontiguousarray(boundary_mask, dtype=bool)
-        self.areas = _signed_areas(self.nodes, self.triangles)
+        self.nodes = _frozen(np.ascontiguousarray(nodes, dtype=float))
+        self.triangles = _frozen(np.ascontiguousarray(triangles, dtype=np.int32))
+        self.boundary_mask = _frozen(np.ascontiguousarray(boundary_mask, dtype=bool))
+        self.areas = _frozen(_signed_areas(self.nodes, self.triangles))
         total = float(self.areas.sum())
         if np.any(self.areas <= 1e-14 * total):
             raise MeshResourceError("mesh contains degenerate or inverted triangles")
@@ -120,24 +123,24 @@ class Mesh:
             g[:, k, 0] = -d[:, 1]
             g[:, k, 1] = d[:, 0]
         g /= (2.0 * self.areas)[:, None, None]
-        return g
+        return _frozen(g)
 
     @cached_property
     def k_local(self) -> np.ndarray:
         """(M, 3, 3) per-triangle stiffness blocks for unit weight."""
         g = self.grads
-        return self.areas[:, None, None] * np.einsum("mik,mjk->mij", g, g)
+        return _frozen(self.areas[:, None, None] * np.einsum("mik,mjk->mij", g, g))
 
     @cached_property
     def load_vector(self) -> np.ndarray:
         """(N,) exact integrals of the nodal basis functions."""
         b = np.zeros(self.n_nodes)
         np.add.at(b, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
-        return b
+        return _frozen(b)
 
     @cached_property
     def interior_index(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_mask)
+        return _frozen(np.flatnonzero(~self.boundary_mask))
 
     @cached_property
     def _band_plan(self):
@@ -168,7 +171,7 @@ class Mesh:
             raise MeshResourceError(f"a {kd + 1} x {ni} band exceeds {BAND_BUDGET} doubles")
         slot = (rows - cols)[lower] + (kd + 1) * cols[lower]
         nnz = len(np.unique(rows * ni + cols))
-        return kept[lower], slot, perm, kd, nnz
+        return _frozen(kept[lower]), _frozen(slot), _frozen(perm), kd, nnz
 
     def _assemble(self, blocks: np.ndarray) -> BandMatrix:
         """Interior-reduced band matrix from (M, 3, 3) per-triangle blocks."""
@@ -211,9 +214,8 @@ class Mesh:
         of a convex polygon's mesh span the polygon, so this is the distance
         to the convex hull of the boundary nodes."""
         hull = ConvexHull(self.nodes[self.boundary_mask])
-        return ConvexPolygon(hull.points[hull.vertices], validate=False).boundary_distances(
-            self.nodes
-        )
+        hull_poly = ConvexPolygon(hull.points[hull.vertices], validate=False)
+        return _frozen(hull_poly.boundary_distances(self.nodes))
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,6 +223,11 @@ class Mesh:
             "triangles": self.triangles.tolist(),
             "boundary_mask": self.boundary_mask.astype(int).tolist(),
         }
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # -- mesh generation --------------------------------------------------------
@@ -477,7 +484,8 @@ def _ray_rescaled(mesh: Mesh, v: np.ndarray, p: float, g=None) -> np.ndarray:
 
     g, if given, is mesh.gradient_squares(v). Returns v itself when there
     is no ray minimizer to compute: v is zero, b.v <= 0, or a squared
-    gradient or b.v is not finite. log s is clamped to [-700, 700], where
+    gradient or b.v is not finite; and when s rounds to 1, as it does for
+    a v already on its optimal ray. log s is clamped to [-700, 700], where
     exp(log s) is finite.
     """
     g = mesh.gradient_squares(v) if g is None else g
@@ -491,7 +499,8 @@ def _ray_rescaled(mesh: Mesh, v: np.ndarray, p: float, g=None) -> np.ndarray:
     log_s = (math.log(f) - log_e) / (p - 1.0)
     if abs(log_s) > 700.0:
         log_s = math.copysign(700.0, log_s)
-    return v * math.exp(log_s)
+    s = math.exp(log_s)
+    return v if s == 1.0 else v * s
 
 
 def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> TorsionSolution:
@@ -548,19 +557,21 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
         """Halve lam until the step does not raise the energy at eps2.
 
         The point tried is u + lam d, or u_one at lam = 1; with ray set, its
-        ray minimizer competes. Returns (point, energy, lam), or None after
-        40 halvings."""
+        ray minimizer competes. Returns (point, energy, lam, squared
+        gradients of the point), or None after 40 halvings."""
         for _ in range(40):
             cand = u_one if lam == 1.0 else u + lam * d
             g_c = mesh.gradient_squares(cand)
             j_c = _energy(mesh, cand, p, eps2, g_c)
             if ray:
                 cand2 = _ray_rescaled(mesh, cand, p, g_c)
-                j_c2 = _energy(mesh, cand2, p, eps2)
-                if j_c2 < j_c:
-                    cand, j_c = cand2, j_c2
+                if cand2 is not cand:
+                    g_c2 = mesh.gradient_squares(cand2)
+                    j_c2 = _energy(mesh, cand2, p, eps2, g_c2)
+                    if j_c2 < j_c:
+                        cand, j_c, g_c = cand2, j_c2, g_c2
             if j_c <= j_cur + 1e-12 * abs(j_cur):
-                return cand, j_c, lam
+                return cand, j_c, lam, g_c
             lam *= 0.5
         return None
 
@@ -588,17 +599,18 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
             return None
         return nodal(d_int) if np.all(np.isfinite(d_int)) else None
 
+    # g holds the squared gradients of u and follows u wherever it changes
     u = _ray_rescaled(mesh, u, p)
+    g = mesh.gradient_squares(u)
     trace: list = []
     converged = False
     lam_mem = 1.0
     for li, eps_rel in enumerate(EPS_LEVELS):
-        g = mesh.gradient_squares(u)
         g_max = float(g.max())
         if g_max <= 0.0:
             g_max = 1.0
         eps2 = (eps_rel * eps_rel) * g_max
-        j_cur = _energy(mesh, u, p, eps2)
+        j_cur = _energy(mesh, u, p, eps2, g)
         remaining = opts.max_iters - iterations
         if li == len(EPS_LEVELS) - 1:
             cap = max(10, remaining // 3)
@@ -614,11 +626,10 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
             if accepted is None:
                 lagged_rejected = True
                 break  # at the floating-point floor of this level
-            u_new, j_new, _ = accepted
+            u_new, j_new, _, g_new = accepted
             step_rel = float(np.max(np.abs(u_new - u))) / max(float(np.max(np.abs(u_new))), 1e-300)
             rel_dec = (j_cur - j_new) / max(abs(j_new), 1e-300)
-            u, j_cur = u_new, j_new
-            g = mesh.gradient_squares(u)
+            u, j_cur, g = u_new, j_new, g_new
             trace.append((li, j_cur))
             if rel_dec < TOL_LAGGED or step_rel < 1e-13:
                 break
@@ -637,25 +648,28 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
             if iterations >= opts.max_iters:
                 break
             iterations += 1
-            accepted = lagged_step(u, mesh.gradient_squares(u), eps2, j_cur)
+            accepted = lagged_step(u, g, eps2, j_cur)
         if accepted is None:
             converged = True  # stationary to float precision
             break
         lagged_rejected = False
-        u_new, j_new, _ = accepted
+        u_new, j_new, _, g_new = accepted
         rel_dec = (j_cur - j_new) / max(abs(j_new), 1e-300)
-        u, j_cur = u_new, j_new
+        u, j_cur, g = u_new, j_new, g_new
         trace.append((li, j_cur))
         if rel_dec < TOL_NEWTON:
             converged = True
             break
     # on the optimal ray b.u equals the p-energy, so the reported integral
     # stays a lower bound of the discrete optimum even if slightly unconverged
-    u_ray = _ray_rescaled(mesh, u, p)
-    if _energy(mesh, u_ray, p, 0.0) <= _energy(mesh, u, p, 0.0):
-        u = u_ray
+    energy = _energy(mesh, u, p, 0.0, g)
+    u_ray = _ray_rescaled(mesh, u, p, g)
+    if u_ray is not u:
+        energy_ray = _energy(mesh, u_ray, p, 0.0)
+        if energy_ray <= energy:
+            u, energy = u_ray, energy_ray
     t_p = float(load @ u)
-    sol = TorsionSolution(mesh, p, u, t_p, _energy(mesh, u, p, 0.0), iterations, converged, trace)
+    sol = TorsionSolution(mesh, p, u, t_p, energy, iterations, converged, trace)
     if not converged:
         raise ConvergenceError(
             f"p-torsion solve (p={p}) did not converge within {opts.max_iters} "
@@ -707,6 +721,24 @@ class RigidityEstimate:
         return 3.0 * self.error_estimate / abs(self.t_p)
 
 
+# Nested meshes of each polygon, by base mesh size h0: triangulate(poly, h0)
+# and its uniform refinements, shared by every p solved on the polygon and
+# dropped with it.
+_NESTED_MESHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _nested_meshes(poly: ConvexPolygon, h0: float, levels: int) -> list:
+    """The first `levels` cached meshes of poly at base size h0, meshed and
+    refined on first use."""
+    by_h0 = _NESTED_MESHES.setdefault(poly, {})
+    meshes = by_h0.get(h0)
+    if meshes is None:
+        meshes = by_h0[h0] = [triangulate(poly, h0)]
+    while len(meshes) < levels:
+        meshes.append(refine(meshes[-1]))
+    return meshes[:levels]
+
+
 def rigidity_with_refinement(
     poly: ConvexPolygon,
     p: float,
@@ -720,18 +752,18 @@ def rigidity_with_refinement(
     nested meshes T_p grows with the level. The error estimate is the
     difference of the two finest levels; the empirical convergence order
     comes from the last three levels when available (clamped to [0.5, 4]).
+    The meshes are cached per polygon object and h0 and are read-only:
+    every p solved on the same polygon reuses them, with their FEM arrays
+    and band plans, and est.solution.mesh is one of them.
     """
     if levels < 2:
         raise ValueError("refinement study needs levels >= 2")
     if h0 is None:
         h0 = default_h0(poly)
-    mesh = triangulate(poly, h0)
     values: list[float] = []
     h_values: list[float] = []
     iterations = 0
-    for lvl in range(levels):
-        if lvl > 0:
-            mesh = refine(mesh)
+    for mesh in _nested_meshes(poly, h0, levels):
         sol = solve_p_torsion(mesh, p, opts)
         values.append(sol.t_p)
         h_values.append(mesh.h_max)

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import oracles
 from torsionlab import (
     ConvergenceError,
+    ConvexPolygon,
     MeshResourceError,
     ball_torsion_integral,
     make_ellipse_polygon,
@@ -16,6 +19,7 @@ from torsionlab import (
     scale,
 )
 from torsionlab import ptorsion
+from torsionlab.functionals import build_shape_report
 from torsionlab.ptorsion import (
     Mesh,
     SolverOptions,
@@ -401,3 +405,96 @@ def test_default_h0_scales_with_shape():
     big = default_h0(scale(SQUARE, 10.0))
     assert 0.0 < small < 0.5
     assert np.isclose(big, 10.0 * small, rtol=1e-12)
+
+
+def _same_estimate(a, b):
+    return (
+        a.values == b.values
+        and a.t_p == b.t_p
+        and a.error_estimate == b.error_estimate
+        and a.iterations == b.iterations
+        and a.solution.u.tobytes() == b.solution.u.tobytes()
+    )
+
+
+def test_one_polygon_shares_its_meshes_across_p():
+    # every p solved on one polygon object reuses its nested meshes, and
+    # gets the same bits as a fresh polygon with fresh meshes
+    poly = random_convex_polygon([41, 2])
+    finest = set()
+    for p in (1.05, 2.0, 3.0, 32.0):
+        est = rigidity_with_refinement(poly, p, levels=2)
+        fresh = rigidity_with_refinement(ConvexPolygon(poly.vertices), p, levels=2)
+        assert _same_estimate(est, fresh), p
+        finest.add(id(est.solution.mesh))
+        assert est.solution.mesh is not fresh.solution.mesh
+    assert len(finest) == 1
+
+
+def test_cached_meshes_extend_to_more_levels():
+    poly = random_convex_polygon([41, 3])
+    two = rigidity_with_refinement(poly, 3.0, levels=2)
+    three = rigidity_with_refinement(poly, 3.0, levels=3)
+    fresh = rigidity_with_refinement(ConvexPolygon(poly.vertices), 3.0, levels=3)
+    assert _same_estimate(three, fresh)
+    assert three.values[:2] == two.values
+    assert len(ptorsion._NESTED_MESHES[poly][default_h0(poly)]) == 3
+
+
+def test_shape_report_triangulates_once(monkeypatch):
+    calls = []
+    triangulate_uncounted = ptorsion.triangulate
+
+    def counting(poly, h_target):
+        calls.append(h_target)
+        return triangulate_uncounted(poly, h_target)
+
+    monkeypatch.setattr(ptorsion, "triangulate", counting)
+    poly = random_convex_polygon([41, 4])
+    build_shape_report(poly, [1.5, 2.0, 3.0, 5.0, 10.0], levels=2)
+    assert calls == [default_h0(poly)]
+    build_shape_report(poly, [2.0], levels=2, h0=0.5 * default_h0(poly))
+    assert calls == [default_h0(poly), 0.5 * default_h0(poly)]
+
+
+def test_mesh_cache_entry_dropped_with_polygon():
+    poly = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.2, 0.9], [0.1, 0.7]])
+    rigidity_with_refinement(poly, 2.0, levels=2)
+    assert poly in ptorsion._NESTED_MESHES
+    entries = len(ptorsion._NESTED_MESHES)
+    alive = weakref.ref(poly)
+    del poly
+    gc.collect()
+    assert alive() is None
+    assert len(ptorsion._NESTED_MESHES) == entries - 1
+
+
+def test_shared_mesh_arrays_are_read_only():
+    mesh = rigidity_with_refinement(SQUARE, 3.0, levels=2, h0=0.25).solution.mesh
+    arrays = [
+        mesh.nodes, mesh.triangles, mesh.boundary_mask, mesh.areas, mesh.grads, mesh.k_local,
+        mesh.load_vector, mesh.interior_index, mesh.boundary_node_distances,
+    ]
+    arrays += [a for a in mesh._band_plan if isinstance(a, np.ndarray)]
+    assert len(arrays) == 12
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = a.flat[0]
+
+
+def test_solver_computes_each_iterate_squared_gradients_once(monkeypatch):
+    # the squared gradients of an iterate are carried with it, never
+    # recomputed back to back on the same vector
+    gradient_squares = Mesh.gradient_squares
+    inputs = []
+
+    def recording(self, u):
+        inputs.append((id(self), u.tobytes()))
+        return gradient_squares(self, u)
+
+    monkeypatch.setattr(Mesh, "gradient_squares", recording)
+    mesh = triangulate(SQUARE, 0.1)
+    for p in (3.0, 32.0):
+        assert solve_p_torsion(mesh, p).converged
+    assert len(inputs) > 100
+    assert all(a != b for a, b in zip(inputs, inputs[1:]))
