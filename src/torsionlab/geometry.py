@@ -144,17 +144,6 @@ class ConvexPolygon:
         diff = w[:, None, :] - w[None, :, :]
         return math.sqrt(float(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
 
-    @cached_property
-    def centroid(self) -> np.ndarray:
-        """Area centroid of the polygon."""
-        w = self._centered
-        x, y = w[:, 0], w[:, 1]
-        x1, y1 = np.roll(x, -1), np.roll(y, -1)
-        cross = x * y1 - x1 * y
-        cx = np.sum((x + x1) * cross) / (6.0 * self.area)
-        cy = np.sum((y + y1) * cross) / (6.0 * self.area)
-        return np.array([cx, cy]) + self._center
-
     # -- edge half-planes --------------------------------------------------
 
     @cached_property
@@ -176,19 +165,6 @@ class ConvexPolygon:
         normals, offsets = self._edge_lines
         d = np.min(offsets[None, :] - pts @ normals.T, axis=1)
         return np.maximum(d, 0.0)
-
-    def boundary_distance(self, x) -> float:
-        """Distance from an interior point to the boundary.
-
-        Points outside the polygon return 0.0 by convention; use
-        `contains` to distinguish that case.
-        """
-        return float(self.boundary_distances(np.asarray(x, dtype=float))[0])
-
-    def contains(self, x) -> bool:
-        pts = np.asarray(x, dtype=float) - self._center
-        normals, offsets = self._edge_lines
-        return bool(np.all(pts @ normals.T <= offsets))
 
     # -- inradius (Chebyshev center) ---------------------------------------
 
@@ -267,7 +243,7 @@ class ConvexPolygon:
                 break
             start, area = end, piece.area_at(end)
             edges, lengths = edges[alive], left[alive]
-        # scale, translate and erode skip validation; a polygon that is not
+        # scale and erode skip validation; a polygon that is not
         # convex and counter-clockwise does not erode to nothing here
         rest = pieces[-1].area_at(r_in)
         if not abs(rest) <= 1e-9 * self.area:
@@ -370,10 +346,6 @@ def shape_from_json(obj) -> ConvexPolygon:
     return ShapeSpec.from_json(obj).build()
 
 
-def polygon_to_json(poly: ConvexPolygon) -> dict:
-    return {"kind": "polygon", "vertices": [[float(x), float(y)] for x, y in poly.vertices]}
-
-
 # -- transforms -------------------------------------------------------------
 
 
@@ -382,10 +354,6 @@ def scale(poly: ConvexPolygon, t: float) -> ConvexPolygon:
     if not t > 0.0:
         raise InvalidDomainError("scale factor must be positive")
     return ConvexPolygon(poly.vertices * t, validate=False)
-
-
-def translate(poly: ConvexPolygon, shift) -> ConvexPolygon:
-    return ConvexPolygon(poly.vertices + np.asarray(shift, dtype=float), validate=False)
 
 
 # -- inward erosion ---------------------------------------------------------

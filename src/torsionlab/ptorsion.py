@@ -2,13 +2,14 @@
 
 Meshes convex polygons and minimizes the variational energy
 J(u) = (1/p) int |grad u|^p - int u over mesh functions vanishing on the
-boundary. The nonlinearity is handled by lagged diffusivity: repeated
-linear solves with per-triangle weights (|grad u|^2 + eps^2)^((p-2)/2),
-driving eps down a continuation schedule. Gradients of piecewise-linear
-functions are constant per triangle, so energies, weights and the torsion
-integral are all exact. Every linear system is symmetric positive definite
-on the mesh's interior nodes; it is assembled straight into LAPACK band
-storage in reverse Cuthill-McKee order and solved by banded Cholesky.
+boundary, regularized as (1/p) int (|grad u|^2 + eps^2)^(p/2) with eps
+driven down a continuation schedule. Each step is a Newton step with
+a lagged-diffusivity step (weights (|grad u|^2 + eps^2)^((p-2)/2)) as
+fallback. Gradients of piecewise-linear functions are constant per
+triangle, so energies, weights and the torsion integral are all exact.
+Every linear system is symmetric positive definite on the mesh's interior
+nodes, assembled straight into LAPACK band storage in reverse Cuthill-McKee
+order and solved by banded Cholesky.
 
 Axis-aligned rectangles get a structured criss-cross mesh (exactly
 symmetric, robust for aspect ratios in the thousands); every other polygon
@@ -184,28 +185,33 @@ class Mesh:
         """Interior-reduced weighted stiffness matrix."""
         return self._assemble(self.k_local * weights[:, None, None])
 
-    def energy_hessian(self, u: np.ndarray, p: float, eps2: float):
-        """(Hessian, gradient) at u of (1/p) int (|grad u|^2 + eps2)^(p/2),
-        interior-reduced; the gradient is K(w) u for the lagged weights w,
-        formed per triangle. None if the Hessian is not finite (wild iterate)."""
-        gu = np.einsum("mi,mij->mj", u[self.triangles], self.grads)
+    def energy_hessian(self, gu: np.ndarray, p: float, eps2: float):
+        """(Hessian, gradient) of (1/p) int (|grad u|^2 + eps2)^(p/2) at the u
+        whose per-triangle gradients are gu, interior-reduced; the gradient
+        is K(w) u for the lagged weights w, formed per triangle. None if the
+        weights are not finite (wild iterate)."""
         g = np.einsum("mj,mj->m", gu, gu)
         with np.errstate(over="ignore", invalid="ignore"):
             w = (g + eps2) ** ((p - 2.0) / 2.0)
-            c = (p - 2.0) * (g + eps2) ** ((p - 4.0) / 2.0)
-        q = np.einsum("mj,mij->mi", gu, self.grads)
-        blocks = w[:, None, None] * self.k_local
-        blocks += (c * self.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
-        if not np.all(np.isfinite(blocks)):
+            c = (p - 2.0) * w / (g + eps2)
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(c))):
             return None
+        q = np.einsum("mj,mij->mi", gu, self.grads)
+        # an entry that overflows still gets the Newton step rejected
         with np.errstate(over="ignore", invalid="ignore"):
+            blocks = w[:, None, None] * self.k_local
+            blocks += (c * self.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
             grad = ((w * self.areas)[:, None] * q).ravel()
         grad = np.bincount(self.triangles.ravel(), weights=grad, minlength=self.n_nodes)
         return self._assemble(blocks), grad[self.interior_index]
 
+    def gradient_field(self, u: np.ndarray) -> np.ndarray:
+        """(M, 2) gradient of a nodal function on each triangle."""
+        return np.einsum("mi,mij->mj", u[self.triangles], self.grads)
+
     def gradient_squares(self, u: np.ndarray) -> np.ndarray:
         """(M,) squared gradient magnitudes of a nodal function."""
-        gu = np.einsum("mi,mij->mj", u[self.triangles], self.grads)
+        gu = self.gradient_field(u)
         return np.einsum("mj,mj->m", gu, gu)
 
     @cached_property
@@ -437,8 +443,9 @@ P_MAX_SUPPORTED = 32.0
 
 # Relative regularization levels: eps = eps_rel * max |grad u| per level.
 EPS_LEVELS = tuple(10.0**-k for k in range(2, 11))
-# A level's lagged steps stop below this relative energy decrease; the
-# Newton polish on the final level stops below TOL_NEWTON.
+# A level before the last ends once a step lowers the energy by less than
+# TOL_LAGGED (relative); the last level ends on a full (lam = 1) step that
+# lowers it by less than TOL_NEWTON.
 TOL_LAGGED = 1e-6
 TOL_NEWTON = 1e-10
 # Floor of the lagged weights relative to their maximum. Unfloored, a flat
@@ -446,6 +453,9 @@ TOL_NEWTON = 1e-10
 # ~1e56 |u| away, out of the halvings' reach; the floor keeps it near
 # |u| / 1e-10. For p < 2 the weights stay above eps_rel^(2-p) >= 1e-10.
 LOG_WEIGHT_FLOOR = math.log(1e-10)
+# A power x^(p/2) that underflows takes libm's slow path (10-20x at p = 32), so
+# bases are raised to POWER_FLOOR^(2/p); each adds at most area * POWER_FLOOR.
+POWER_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -459,7 +469,8 @@ class SolverOptions:
 
 @dataclass
 class TorsionSolution:
-    """Discrete p-torsion function and its integral on one mesh."""
+    """Discrete p-torsion function and its integral on one mesh. iterations
+    is newton_steps + lagged_steps, the steps tried, plus the start's solve."""
 
     mesh: Mesh
     p: float
@@ -469,55 +480,65 @@ class TorsionSolution:
     iterations: int
     converged: bool
     energy_trace: list
+    newton_steps: int = 0
+    lagged_steps: int = 0
 
 
-def _energy(mesh: Mesh, u: np.ndarray, p: float, eps2: float, g=None) -> float:
-    """Regularized energy at u; g, if given, is mesh.gradient_squares(u)."""
-    g = mesh.gradient_squares(u) if g is None else g
+def _energy(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float) -> float:
+    """Regularized energy of a function with squared gradients g and b.u = f."""
+    x = np.maximum(g + eps2, POWER_FLOOR ** (2.0 / p))
     with np.errstate(over="ignore"):
-        bulk = float(np.sum(mesh.areas * (g + eps2) ** (p / 2.0)))
-    return bulk / p - float(mesh.load_vector @ u)
+        bulk = float(np.sum(mesh.areas * x ** (p / 2.0)))
+    return bulk / p - f
 
 
-def _ray_rescaled(mesh: Mesh, v: np.ndarray, p: float, g=None) -> np.ndarray:
-    """Exact minimizer of J over the ray {s v}: s = (b.v / E_p(v))^(1/(p-1)).
-
-    g, if given, is mesh.gradient_squares(v). Returns v itself when there
-    is no ray minimizer to compute: v is zero, b.v <= 0, or a squared
-    gradient or b.v is not finite; and when s rounds to 1, as it does for
-    a v already on its optimal ray. log s is clamped to [-700, 700], where
-    exp(log s) is finite.
-    """
-    g = mesh.gradient_squares(v) if g is None else g
+def _ray_scale(mesh: Mesh, g: np.ndarray, f: float, p: float) -> float:
+    """Scale s = (f / E_p(v))^(1/(p-1)) of the minimizer s v of J over the
+    ray of a v with squared gradients g and b.v = f. 1.0 when there is none
+    to compute: v is zero, f <= 0, or a squared gradient or f is not finite.
+    log s is clamped to [-700, 700], where exp(log s) is finite."""
     g_top = float(g.max())
-    f = float(mesh.load_vector @ v)
     if not (0.0 < g_top < math.inf and 0.0 < f < math.inf):
-        return v
+        return 1.0
     # scale out g_top so the p/2 power cannot overflow
-    e_scaled = float(np.sum(mesh.areas * (g / g_top) ** (p / 2.0)))
+    x = np.maximum(g / g_top, POWER_FLOOR ** (2.0 / p))
+    e_scaled = float(np.sum(mesh.areas * x ** (p / 2.0)))
     log_e = 0.5 * p * math.log(g_top) + math.log(e_scaled)
     log_s = (math.log(f) - log_e) / (p - 1.0)
     if abs(log_s) > 700.0:
         log_s = math.copysign(700.0, log_s)
-    s = math.exp(log_s)
-    return v if s == 1.0 else v * s
+    return math.exp(log_s)
+
+
+def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
+    """(energy at eps2, s) of the lower of u, with squared gradients g and
+    b.u = f, (s = 1) and its ray minimizer s u, which wins ties."""
+    j = _energy(mesh, g, f, p, eps2)
+    s = _ray_scale(mesh, g, f, p)
+    if s != 1.0:
+        with np.errstate(over="ignore"):
+            j_s = _energy(mesh, g * s * s, s * f, p, eps2)
+        if j_s <= j:
+            return j_s, s
+    return j, 1.0
 
 
 def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> TorsionSolution:
-    """Minimize the discrete p-torsion energy by lagged diffusivity.
+    """Minimize the discrete p-torsion energy by Newton steps along a
+    continuation in the regularization, with lagged diffusivity as fallback.
 
     It starts from the distance to the boundary for p > 8 (close to the
     large-p minimizer), else from the p = 2 solution, moved to its best ray.
-    The regularization is relative: at each level of EPS_LEVELS,
-    eps = eps_rel * max |grad u| for the current iterate. Each level takes
-    lagged-diffusivity steps until the energy decrease falls below
-    TOL_LAGGED; the final level then polishes with Newton steps down to
-    TOL_NEWTON, taking a lagged step wherever Newton is rejected. Every
-    step goes through one halving line search and is accepted only if it
-    does not raise the regularized energy. Convergence is declared only on
-    the final level: by a Newton decrease below TOL_NEWTON, or when a
-    Newton step is rejected and the lagged step from the same iterate is
-    rejected too (the floating-point floor).
+    At each level of EPS_LEVELS, eps = eps_rel * max |grad u| for the
+    current iterate. Each step tries the Newton direction of the regularized
+    energy first and the lagged (Kacanov) step only where Newton is
+    rejected; either goes through one halving line search, against the ray
+    minimizer of each trial point, and must not raise the energy. A level
+    ends on a step that lowers the energy by less than TOL_LAGGED; when that
+    is its first step and a full (lam = 1) Newton step, the last level comes
+    next. On the last level a step must lower the energy. It converges on a
+    full step that lowers the energy by less than TOL_NEWTON, or when both
+    kinds of step are rejected (the floating-point floor).
     """
     opts = opts or SolverOptions()
     if not (1.0 < p <= P_MAX_SUPPORTED):
@@ -542,7 +563,7 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
     if p == 2.0:
         u = linear_solve(np.ones(mesh.n_triangles))
         t_p = float(load @ u)
-        e2 = _energy(mesh, u, p, 0.0)
+        e2 = _energy(mesh, mesh.gradient_squares(u), t_p, p, 0.0)
         return _checked(TorsionSolution(mesh, p, u, t_p, e2, 1, True, [(0, e2)]))
 
     iterations = 0
@@ -553,123 +574,102 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
         u = linear_solve(np.ones(mesh.n_triangles))
         iterations = 1
 
-    def search(u, d, u_one, lam, j_cur, eps2, ray):
-        """Halve lam until the step does not raise the energy at eps2.
-
-        The point tried is u + lam d, or u_one at lam = 1; with ray set, its
-        ray minimizer competes. Returns (point, energy, lam, squared
-        gradients of the point), or None after 40 halvings."""
+    def search(u, gu, d, lam, j_cur, eps2, must_lower):
+        """Halve lam until u + lam d, or its ray minimizer, does not raise the
+        energy at eps2; trials are priced from the gradients of u and d. The
+        accepted (point, lam), or None after 40 halvings or, if must_lower,
+        when it does not lower the energy (passed by rounding alone)."""
+        gd = mesh.gradient_field(d)
+        f_u, f_d = float(load @ u), float(load @ d)
         for _ in range(40):
-            cand = u_one if lam == 1.0 else u + lam * d
-            g_c = mesh.gradient_squares(cand)
-            j_c = _energy(mesh, cand, p, eps2, g_c)
-            if ray:
-                cand2 = _ray_rescaled(mesh, cand, p, g_c)
-                if cand2 is not cand:
-                    g_c2 = mesh.gradient_squares(cand2)
-                    j_c2 = _energy(mesh, cand2, p, eps2, g_c2)
-                    if j_c2 < j_c:
-                        cand, j_c, g_c = cand2, j_c2, g_c2
+            with np.errstate(over="ignore"):
+                gc = gu + lam * gd
+            j_c, s = _ray_priced(mesh, np.einsum("mj,mj->m", gc, gc), f_u + lam * f_d, p, eps2)
             if j_c <= j_cur + 1e-12 * abs(j_cur):
-                return cand, j_c, lam, g_c
+                return None if must_lower and j_c >= j_cur else ((u + lam * d) * s, lam)
             lam *= 0.5
         return None
 
-    def lagged_step(u, g, eps2, j_cur):
+    def lagged_point(g, eps2):
         # weights (|grad u|^2 + eps^2)^((p-2)/2), scaled to max 1 in log space
-        nonlocal lam_mem
         w_log = (0.5 * (p - 2.0)) * np.log(g + eps2)
-        w_log -= w_log.max()
-        u_hat = linear_solve(np.exp(np.maximum(w_log, LOG_WEIGHT_FLOOR)))
-        accepted = search(u, u_hat - u, u_hat, min(1.0, 2.0 * lam_mem), j_cur, eps2, ray=True)
-        if accepted is not None:
-            lam_mem = accepted[2]
-        return accepted
+        return linear_solve(np.exp(np.maximum(w_log - w_log.max(), LOG_WEIGHT_FLOOR)))
 
-    def newton_step(u, eps2):
+    def newton_direction(gu, eps2):
         # Newton direction of the regularized energy, or None if the Hessian
         # is not finite or not positive definite, or the direction is not finite
-        hess_grad = mesh.energy_hessian(u, p, eps2)
+        hess_grad = mesh.energy_hessian(gu, p, eps2)
         if hess_grad is None:
             return None
-        hess, grad = hess_grad
         try:
-            d_int = spsolve(hess, b_int - grad)
+            d_int = spsolve(hess_grad[0], b_int - hess_grad[1])
         except LinAlgError:
             return None
         return nodal(d_int) if np.all(np.isfinite(d_int)) else None
 
-    # g holds the squared gradients of u and follows u wherever it changes
-    u = _ray_rescaled(mesh, u, p)
-    g = mesh.gradient_squares(u)
+    # gu and g, the gradients of u and their squares, are recomputed from
+    # each accepted point: updated along with u, they would drift
+    gu = mesh.gradient_field(u)
+    s = _ray_scale(mesh, np.einsum("mj,mj->m", gu, gu), float(load @ u), p)
+    u, gu = u * s, gu * s
+    g = np.einsum("mj,mj->m", gu, gu)
     trace: list = []
     converged = False
     lam_mem = 1.0
-    for li, eps_rel in enumerate(EPS_LEVELS):
-        g_max = float(g.max())
-        if g_max <= 0.0:
-            g_max = 1.0
-        eps2 = (eps_rel * eps_rel) * g_max
-        j_cur = _energy(mesh, u, p, eps2, g)
+    newton_steps = lagged_steps = 0
+    last = len(EPS_LEVELS) - 1
+    li = 0
+    while True:
+        eps2 = (EPS_LEVELS[li] * EPS_LEVELS[li]) * (float(g.max()) or 1.0)
+        j_cur = _energy(mesh, g, float(load @ u), p, eps2)
         remaining = opts.max_iters - iterations
-        if li == len(EPS_LEVELS) - 1:
-            cap = max(10, remaining // 3)
-        else:
-            cap = max(10, remaining // (2 * (len(EPS_LEVELS) - li)))
-        # set while the lagged step from the current u is known to be rejected
-        lagged_rejected = False
-        for _ in range(cap):
-            if iterations >= opts.max_iters:
-                break
-            iterations += 1
-            accepted = lagged_step(u, g, eps2, j_cur)
+        cap = remaining if li == last else max(10, remaining // (2 * (last + 1 - li)))
+        settled = False  # the level ended on its first step, a full Newton step
+        for step in range(cap):
+            accepted = None
+            d = newton_direction(gu, eps2) if iterations < opts.max_iters else None
+            if d is not None:
+                iterations += 1
+                newton_steps += 1
+                accepted = search(u, gu, d, 1.0, j_cur, eps2, li == last)
+            newton = accepted is not None
+            if not newton:
+                if iterations >= opts.max_iters:
+                    break
+                iterations += 1
+                lagged_steps += 1
+                d = lagged_point(g, eps2) - u
+                accepted = search(u, gu, d, min(1.0, 2.0 * lam_mem), j_cur, eps2, li == last)
             if accepted is None:
-                lagged_rejected = True
-                break  # at the floating-point floor of this level
-            u_new, j_new, _, g_new = accepted
+                converged = li == last  # stationary to float precision
+                break
+            u_new, lam = accepted
+            lam_mem = lam_mem if newton else lam
             step_rel = float(np.max(np.abs(u_new - u))) / max(float(np.max(np.abs(u_new))), 1e-300)
-            rel_dec = (j_cur - j_new) / max(abs(j_new), 1e-300)
-            u, j_cur, g = u_new, j_new, g_new
+            u = u_new
+            gu = mesh.gradient_field(u)
+            g = np.einsum("mj,mj->m", gu, gu)
+            j_prev, j_cur = j_cur, _energy(mesh, g, float(load @ u), p, eps2)
+            rel_dec = (j_prev - j_cur) / max(abs(j_cur), 1e-300)
             trace.append((li, j_cur))
-            if rel_dec < TOL_LAGGED or step_rel < 1e-13:
+            if li == last:
+                if lam == 1.0 and rel_dec < TOL_NEWTON:
+                    converged = True
+                    break
+            elif rel_dec < TOL_LAGGED or step_rel < 1e-13:
+                settled = newton and lam == 1.0 and step == 0
                 break
-    # Newton polish on the final level: quadratic convergence to the strict
-    # tolerance that plain lagged steps reach only asymptotically; a rejected
-    # Newton step falls back to one lagged step, and only a double rejection
-    # counts as the floating-point floor; the lagged step depends only on u,
-    # eps and lam_mem, so one already rejected from this u is not repeated
-    while iterations < opts.max_iters:
-        accepted = None
-        d = newton_step(u, eps2)
-        if d is not None:
-            iterations += 1
-            accepted = search(u, d, u + d, 1.0, j_cur, eps2, ray=False)
-        if accepted is None and not lagged_rejected:
-            if iterations >= opts.max_iters:
-                break
-            iterations += 1
-            accepted = lagged_step(u, g, eps2, j_cur)
-        if accepted is None:
-            converged = True  # stationary to float precision
+        if li == last or iterations >= opts.max_iters:
             break
-        lagged_rejected = False
-        u_new, j_new, _, g_new = accepted
-        rel_dec = (j_cur - j_new) / max(abs(j_new), 1e-300)
-        u, j_cur, g = u_new, j_new, g_new
-        trace.append((li, j_cur))
-        if rel_dec < TOL_NEWTON:
-            converged = True
-            break
+        li = last if settled else li + 1
     # on the optimal ray b.u equals the p-energy, so the reported integral
     # stays a lower bound of the discrete optimum even if slightly unconverged
-    energy = _energy(mesh, u, p, 0.0, g)
-    u_ray = _ray_rescaled(mesh, u, p, g)
-    if u_ray is not u:
-        energy_ray = _energy(mesh, u_ray, p, 0.0)
-        if energy_ray <= energy:
-            u, energy = u_ray, energy_ray
+    energy, s = _ray_priced(mesh, g, float(load @ u), p, 0.0)
+    u = u * s
     t_p = float(load @ u)
-    sol = TorsionSolution(mesh, p, u, t_p, energy, iterations, converged, trace)
+    sol = TorsionSolution(
+        mesh, p, u, t_p, energy, iterations, converged, trace, newton_steps, lagged_steps
+    )
     if not converged:
         raise ConvergenceError(
             f"p-torsion solve (p={p}) did not converge within {opts.max_iters} "

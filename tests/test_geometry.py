@@ -16,9 +16,8 @@ from torsionlab import (
     random_convex_polygon,
     scale,
     shape_from_json,
-    translate,
 )
-from torsionlab.geometry import ShapeSpec, polygon_to_json
+from torsionlab.geometry import ShapeSpec
 
 
 def test_rectangle_measures():
@@ -101,9 +100,9 @@ def test_inradius_matches_grid_oracle():
 def test_incenter_realizes_inradius():
     for seed in range(5):
         poly = random_convex_polygon(seed, 10)
-        d = poly.boundary_distance(poly.incenter)
+        # outside points read 0, so a positive distance also places it inside
+        d = poly.boundary_distances(poly.incenter[None])[0]
         assert np.isclose(d, poly.inradius, rtol=1e-9)
-        assert poly.contains(poly.incenter)
 
 
 def test_average_distance_matches_monte_carlo():
@@ -125,7 +124,6 @@ def test_boundary_distances_vectorized():
     assert np.allclose(d[:3], [0.5, 0.1, 0.05], rtol=1e-12)
     # outside points clamp to zero clearance
     assert d[3] == 0.0
-    assert not poly.contains((5.0, 0.5))
 
 
 def test_erode_square():
@@ -200,7 +198,7 @@ def test_random_polygon_modes():
         random_convex_polygon(7, 15, mode="no-such-mode")
 
 
-def test_scale_translate_exact():
+def test_scale_exact():
     poly = random_convex_polygon(5, 11)
     big = scale(poly, 2.0)
     assert np.isclose(big.area, 4.0 * poly.area, rtol=1e-14)
@@ -209,9 +207,6 @@ def test_scale_translate_exact():
     # the inradius LP is posed in units of the diameter, so size does not matter
     tiny = scale(poly, 1e-6)
     assert np.isclose(tiny.inradius, 1e-6 * poly.inradius, rtol=1e-9)
-    moved = translate(poly, (3.0, -1.0))
-    assert np.isclose(moved.area, poly.area, rtol=1e-14)
-    assert np.allclose(moved.centroid, poly.centroid + np.array([3.0, -1.0]), atol=1e-12)
 
 
 def test_shape_spec_round_trip():
@@ -227,12 +222,6 @@ def test_shape_spec_round_trip():
         assert poly.area > 0
     with pytest.raises(Exception):
         shape_from_json({"kind": "pentagram"})
-
-
-def test_polygon_to_json_round_trip():
-    poly = random_convex_polygon(2, 8)
-    again = shape_from_json(polygon_to_json(poly))
-    assert np.allclose(again.vertices, poly.vertices, atol=0)
 
 
 def test_shape_spec_build_matches_maker():
