@@ -38,7 +38,7 @@ from .functionals import (
     report_csv_rows,
 )
 from .geometry import make_rectangle, make_regular_ngon, shape_from_json
-from .ptorsion import SolverOptions, triangulate, default_h0
+from .ptorsion import MAX_ITERS, triangulate, default_h0
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -87,12 +87,6 @@ def _csv_text(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solver_options(args) -> SolverOptions | None:
-    if args.max_iters is None:
-        return None
-    return SolverOptions(max_iters=args.max_iters)
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -103,7 +97,7 @@ def cmd_shape(args) -> int:
         args.p,
         levels=args.levels,
         h0=args.h0,
-        opts=_solver_options(args),
+        max_iters=args.max_iters,
         shape_id=args.shape_id,
         with_cheeger=args.cheeger,
     )
@@ -153,7 +147,7 @@ def cmd_sweep(args) -> int:
     else:
         kwargs["count"] = args.count
     config = FamilySweepConfig(**kwargs)
-    rows = sweep(config, opts=_solver_options(args))
+    rows = sweep(config, max_iters=args.max_iters)
     failed = [r for r in rows if r["status"] != "ok"]
     if rows and len(failed) == len(rows):
         sys.stderr.write("sweep: every row failed\n")
@@ -210,7 +204,7 @@ def cmd_verify(args) -> int:
             args.p,
             levels=args.levels,
             h0=args.h0,
-            opts=_solver_options(args),
+            max_iters=args.max_iters,
             shape_id=shape_id,
         )
         for entry in report.entries:
@@ -244,7 +238,7 @@ def _verify_pairs(args) -> int:
         n_pairs=args.count,
         seed=args.seed,
         levels=args.levels,
-        opts=_solver_options(args),
+        max_iters=args.max_iters,
     )
     if args.format == "json":
         _emit(dumps_9g(asdict(study)) + "\n", args.out)
@@ -284,10 +278,9 @@ def cmd_limits(args) -> int:
     poly = _load_spec(args.spec)
     doc: dict = {"schema_version": SCHEMA_VERSION}
     rows_csv: list[dict] = []
-    opts = _solver_options(args)
     if args.direction in ("small-p", "both"):
         small = p_to_one_trend(
-            poly, args.p_small, levels=args.levels, h0=args.h0, opts=opts
+            poly, args.p_small, levels=args.levels, h0=args.h0, max_iters=args.max_iters
         )
         doc["small_p"] = {
             "rows": [
@@ -302,7 +295,7 @@ def cmd_limits(args) -> int:
         ]
     if args.direction in ("large-p", "both"):
         large = p_to_infinity_trend(
-            poly, args.p_large, levels=args.levels, h0=args.h0, opts=opts
+            poly, args.p_large, levels=args.levels, h0=args.h0, max_iters=args.max_iters
         )
         doc["large_p"] = large.to_json_dict()
         rows_csv += [
@@ -322,7 +315,7 @@ def cmd_estimate_gamma(args) -> int:
         count=args.count,
         seed=args.seed,
         levels=args.levels,
-        opts=_solver_options(args),
+        max_iters=args.max_iters,
     )
     _emit(dumps_9g(asdict(est)) + "\n", args.out)
     return EXIT_OK
@@ -339,7 +332,7 @@ def build_parser() -> _Parser:
         "--spec": dict(required=True, help="inline JSON or path to a JSON shape spec"),
         "--levels": dict(type=int, default=3, help="refinement levels"),
         "--h0": dict(type=float, default=None, help="coarse mesh target edge length"),
-        "--max-iters": dict(type=int, default=None, help="solver iteration budget"),
+        "--max-iters": dict(type=int, default=MAX_ITERS, help="solver iteration budget"),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--out": dict(default=None, help="output path (default stdout)"),
         "--shape-id": dict(default="shape"),

@@ -1,10 +1,10 @@
 """Computational geometry for strictly convex planar polygons.
 
 Provides the polygon type with its measures (area, perimeter, diameter),
-the inradius via a Chebyshev-center linear program, the distance-to-boundary
-function, the exact erosion schedule of the inner parallel bodies with the
-average distance to the boundary it integrates, and deterministic random
-polygon samplers.
+the distance-to-boundary function, the exact erosion schedule of the inner
+parallel bodies with the inradius and incenter where it ends and the average
+distance to the boundary it integrates, and deterministic random polygon
+samplers.
 
 All computations run in coordinates translated to the vertex centroid so
 that thin or far-offset domains (aspect ratios up to ~1e4) remain well
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from .errors import InvalidDomainError, SamplingError
@@ -166,56 +165,26 @@ class ConvexPolygon:
         d = np.min(offsets[None, :] - pts @ normals.T, axis=1)
         return np.maximum(d, 0.0)
 
-    # -- inradius (Chebyshev center) ---------------------------------------
-
-    @cached_property
-    def _inradius_center(self) -> tuple[float, np.ndarray]:
-        normals, offsets = self._edge_lines
-        n = len(offsets)
-        # maximize r subject to N.x + r <= c; variables (x1, x2, r), in units
-        # of the diameter so that HiGHS's absolute tolerances hold at any size
-        a_ub = np.hstack([normals, np.ones((n, 1))])
-        res = linprog(
-            c=[0.0, 0.0, -1.0],
-            A_ub=a_ub,
-            b_ub=offsets / self.diameter,
-            bounds=[(None, None), (None, None), (0.0, None)],
-            method="highs",
-        )
-        if not res.success:
-            raise InvalidDomainError(f"inradius linear program failed: {res.message}")
-        center = np.asarray(res.x[:2]) * self.diameter
-        # report the radius realized at the returned center so the pair is
-        # feasible to machine precision
-        radius = float(np.min(offsets - normals @ center))
-        return radius, center + self._center
-
-    @property
-    def inradius(self) -> float:
-        return self._inradius_center[0]
-
-    @property
-    def incenter(self) -> np.ndarray:
-        return self._inradius_center[1]
-
     # -- inner parallel bodies ---------------------------------------------
 
     @cached_property
-    def erosion_schedule(self) -> tuple[ErosionPiece, ...]:
-        """Exact area of the body eroded by t, for t in [0, inradius].
-
-        Every edge line moves inward at unit speed, so an edge shrinks at a
-        constant rate until it vanishes. The offsets where edges vanish are
-        the straight-skeleton events of the polygon (Aichholzer et al.,
-        J.UCS 1995); they cut [0, inradius] into pieces on which the area
-        is quadratic. Edges that vanish at the same event leave together.
-        """
-        normals, _ = self._edge_lines
-        e = np.roll(self._centered, -1, axis=0) - self._centered
+    def _erosion(self) -> tuple[tuple[ErosionPiece, ...], np.ndarray]:
+        w = self._centered
+        e = np.roll(w, -1, axis=0) - w
+        e_next = np.roll(e, -1, axis=0)
+        turn = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+        # scale and erode skip validation; the micro-edges erode leaves near
+        # events turn by at worst about -1e-15 relative, well clear of this bound
+        i = int(np.argmin(turn))
+        if turn[i] < -CONVEXITY_RTOL * self.diameter**2:
+            raise InvalidDomainError(
+                f"cross product {turn[i]:.6e} at vertex {(i + 1) % len(w)}: "
+                "the polygon is not convex and counter-clockwise"
+            )
+        normals, offsets = self._edge_lines
         lengths = np.hypot(e[:, 0], e[:, 1])
         edges = np.arange(len(lengths))
         tol = EROSION_RTOL * self.diameter
-        r_in = self.inradius
         start, area = 0.0, self.area
         pieces = []
         while True:
@@ -235,23 +204,57 @@ class ConvexPolygon:
             alive = left > tol
             alive[np.argmin(life)] = False  # so every pass removes an edge
             end = start + step
-            last = end >= r_in or np.count_nonzero(alive) < 3
             perimeter, curvature = float(np.sum(lengths)), float(np.sum(tan_half))
-            piece = ErosionPiece(start, r_in if last else end, area, perimeter, curvature, edges)
-            pieces.append(piece)
-            if last:
+            if np.count_nonzero(alive) < 3:
                 break
+            piece = ErosionPiece(start, end, area, perimeter, curvature, edges)
+            pieces.append(piece)
             start, area = end, piece.area_at(end)
             edges, lengths = edges[alive], left[alive]
-        # scale and erode skip validation; a polygon that is not
-        # convex and counter-clockwise does not erode to nothing here
+        # the body shrinks to a point or a segment at the last event; its
+        # corners meet there, and their mean is a centre of the largest disk
+        center = np.mean(_line_crossings(na, offsets[edges] - end), axis=0)
+        r_in = float(np.min(offsets - normals @ center))
+        pieces.append(ErosionPiece(start, r_in, area, perimeter, curvature, edges))
         rest = pieces[-1].area_at(r_in)
         if not abs(rest) <= 1e-9 * self.area:
             raise InvalidDomainError(
-                f"eroded area {rest:.3e} is left at the inradius {r_in:.9g}: the polygon "
-                "is not convex and counter-clockwise, or its inradius is inaccurate"
+                f"eroded area {rest:.3e} is left at the inradius {r_in:.9g}: "
+                "the polygon is not convex and counter-clockwise"
             )
-        return tuple(pieces)
+        return tuple(pieces), center + self._center
+
+    @property
+    def erosion_schedule(self) -> tuple[ErosionPiece, ...]:
+        """Exact area of the body eroded by t, for t in [0, inradius].
+
+        Every edge line moves inward at unit speed, so an edge shrinks at a
+        constant rate until it vanishes. The offsets where edges vanish are
+        the straight-skeleton events of the polygon (Aichholzer et al.,
+        J.UCS 1995); they cut [0, inradius] into pieces on which the area
+        is quadratic. Edges that vanish at the same event leave together.
+        The last event, where fewer than three edges are left, is where the
+        body vanishes: the last piece ends at the distance from the point
+        it shrinks to, the incenter, to the nearest edge line.
+        """
+        return self._erosion[0]
+
+    @property
+    def inradius(self) -> float:
+        return self._erosion[0][-1].end
+
+    @property
+    def incenter(self) -> np.ndarray:
+        return self._erosion[1]
+
+
+def _line_crossings(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Points where each line N.x = c meets the next, in centered coordinates."""
+    nb, cb = np.roll(normals, -1, axis=0), np.roll(offsets, -1)
+    det = normals[:, 0] * nb[:, 1] - normals[:, 1] * nb[:, 0]
+    x = (offsets * nb[:, 1] - cb * normals[:, 1]) / det
+    y = (normals[:, 0] * cb - nb[:, 0] * offsets) / det
+    return np.stack([x, y], axis=1)
 
 
 # -- constructors -----------------------------------------------------------
@@ -378,16 +381,14 @@ def erode(poly: ConvexPolygon, t: float):
     normals, offsets = poly._edge_lines
     edges = next(pc for pc in poly.erosion_schedule if t < pc.end).edges
     while edges.size >= 3:
-        na, ca = normals[edges], offsets[edges] - t
-        nb, cb = np.roll(na, -1, axis=0), np.roll(ca, -1)
-        det = na[:, 0] * nb[:, 1] - na[:, 1] * nb[:, 0]
-        x = (ca * nb[:, 1] - cb * na[:, 1]) / det
-        y = (na[:, 0] * cb - nb[:, 0] * ca) / det
-        # edge k runs from vertex k-1 to vertex k along (-n_y, n_x)
-        lengths = (x - np.roll(x, 1)) * -na[:, 1] + (y - np.roll(y, 1)) * na[:, 0]
+        na = normals[edges]
+        corners = _line_crossings(na, offsets[edges] - t)
+        # edge k runs from corner k-1 to corner k along (-n_y, n_x)
+        d = corners - np.roll(corners, 1, axis=0)
+        lengths = d[:, 0] * -na[:, 1] + d[:, 1] * na[:, 0]
         short = lengths <= EROSION_RTOL * poly.diameter
         if not short.any():
-            return ConvexPolygon(np.stack([x, y], axis=1) + poly._center, validate=False)
+            return ConvexPolygon(corners + poly._center, validate=False)
         edges = edges[~short]
     return None
 

@@ -456,15 +456,8 @@ LOG_WEIGHT_FLOOR = math.log(1e-10)
 # A power x^(p/2) that underflows takes libm's slow path (10-20x at p = 32), so
 # bases are raised to POWER_FLOOR^(2/p); each adds at most area * POWER_FLOOR.
 POWER_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iters: int = 500
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+# Iteration budget of one solve, over all eps levels.
+MAX_ITERS = 500
 
 
 @dataclass
@@ -523,7 +516,7 @@ def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
     return j, 1.0
 
 
-def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> TorsionSolution:
+def solve_p_torsion(mesh: Mesh, p: float, max_iters: int = MAX_ITERS) -> TorsionSolution:
     """Minimize the discrete p-torsion energy by Newton steps along a
     continuation in the regularization, with lagged diffusivity as fallback.
 
@@ -540,9 +533,10 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
     full step that lowers the energy by less than TOL_NEWTON, or when both
     kinds of step are rejected (the floating-point floor).
     """
-    opts = opts or SolverOptions()
     if not (1.0 < p <= P_MAX_SUPPORTED):
         raise ValueError(f"p must lie in (1, {P_MAX_SUPPORTED}], got {p}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     interior = mesh.interior_index
     if interior.size == 0:
         raise MeshResourceError("mesh has no interior nodes; decrease h_target")
@@ -622,19 +616,19 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
     while True:
         eps2 = (EPS_LEVELS[li] * EPS_LEVELS[li]) * (float(g.max()) or 1.0)
         j_cur = _energy(mesh, g, float(load @ u), p, eps2)
-        remaining = opts.max_iters - iterations
+        remaining = max_iters - iterations
         cap = remaining if li == last else max(10, remaining // (2 * (last + 1 - li)))
         settled = False  # the level ended on its first step, a full Newton step
         for step in range(cap):
             accepted = None
-            d = newton_direction(gu, eps2) if iterations < opts.max_iters else None
+            d = newton_direction(gu, eps2) if iterations < max_iters else None
             if d is not None:
                 iterations += 1
                 newton_steps += 1
                 accepted = search(u, gu, d, 1.0, j_cur, eps2, li == last)
             newton = accepted is not None
             if not newton:
-                if iterations >= opts.max_iters:
+                if iterations >= max_iters:
                     break
                 iterations += 1
                 lagged_steps += 1
@@ -659,7 +653,7 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
             elif rel_dec < TOL_LAGGED or step_rel < 1e-13:
                 settled = newton and lam == 1.0 and step == 0
                 break
-        if li == last or iterations >= opts.max_iters:
+        if li == last or iterations >= max_iters:
             break
         li = last if settled else li + 1
     # on the optimal ray b.u equals the p-energy, so the reported integral
@@ -672,7 +666,7 @@ def solve_p_torsion(mesh: Mesh, p: float, opts: SolverOptions | None = None) -> 
     )
     if not converged:
         raise ConvergenceError(
-            f"p-torsion solve (p={p}) did not converge within {opts.max_iters} "
+            f"p-torsion solve (p={p}) did not converge within {max_iters} "
             f"iterations (reached {iterations})",
             solution=sol,
         )
@@ -744,7 +738,7 @@ def rigidity_with_refinement(
     p: float,
     levels: int = 3,
     h0: float | None = None,
-    opts: SolverOptions | None = None,
+    max_iters: int = MAX_ITERS,
 ) -> RigidityEstimate:
     """Solve on `levels` uniformly refined meshes and extrapolate T_p.
 
@@ -764,7 +758,7 @@ def rigidity_with_refinement(
     h_values: list[float] = []
     iterations = 0
     for mesh in _nested_meshes(poly, h0, levels):
-        sol = solve_p_torsion(mesh, p, opts)
+        sol = solve_p_torsion(mesh, p, max_iters)
         values.append(sol.t_p)
         h_values.append(mesh.h_max)
         iterations += sol.iterations

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
+import torsionlab
 from torsionlab.cli import main
 
 
@@ -295,6 +300,15 @@ def test_estimate_gamma_subcommand(capsys):
         assert list(c) == [
             "family", "members", "measured_ratio", "bound", "bound_exact", "tolerance", "passed",
         ]
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the inradius comes from the erosion schedule, so no optimizer loads
+    src = str(pathlib.Path(torsionlab.__file__).parents[1])
+    code = "import sys, torsionlab.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_unknown_flag_exit_1(capsys):

@@ -98,8 +98,15 @@ def test_inradius_matches_grid_oracle():
 
 
 def test_incenter_realizes_inradius():
-    for seed in range(5):
-        poly = random_convex_polygon(seed, 10)
+    # the rectangles and the ellipse erode to a segment, the 1000-gon to a point
+    polys = [random_convex_polygon(seed, 10) for seed in range(5)]
+    polys += [
+        make_rectangle(500.0, 0.5),
+        make_rectangle(5.0, 0.5),
+        make_ellipse_polygon(1000.0, 1.0, 128),
+        make_regular_ngon(1000),
+    ]
+    for poly in polys:
         # outside points read 0, so a positive distance also places it inside
         d = poly.boundary_distances(poly.incenter[None])[0]
         assert np.isclose(d, poly.inradius, rtol=1e-9)
@@ -165,12 +172,16 @@ def test_erode_matches_clipping_oracle():
             inner = erode(poly, t)
             assert len(inner.vertices) == len(ref), (t, poly)
             assert abs(inner.area - oracles.shoelace_area(ref)) <= 1e-13 * poly.area, (t, poly)
+            d = inner.boundary_distances(inner.incenter[None])[0]
+            assert np.isclose(d, inner.inradius, rtol=1e-9), (t, poly)
 
 
 def test_erosion_rejects_unvalidated_nonconvex_polygon():
     dart = ConvexPolygon([(0.0, 0.0), (2.0, 0.0), (1.0, 1.5), (1.0, 0.5)], validate=False)
-    with pytest.raises(InvalidDomainError):
-        average_distance(dart)
+    clockwise = ConvexPolygon(random_convex_polygon(3, 10).vertices[::-1], validate=False)
+    for poly in (dart, clockwise):
+        with pytest.raises(InvalidDomainError):
+            average_distance(poly)
 
 
 def test_random_polygon_reproducible():
@@ -204,9 +215,9 @@ def test_scale_exact():
     assert np.isclose(big.area, 4.0 * poly.area, rtol=1e-14)
     assert np.isclose(big.perimeter, 2.0 * poly.perimeter, rtol=1e-14)
     assert np.isclose(big.inradius, 2.0 * poly.inradius, rtol=1e-9)
-    # the inradius LP is posed in units of the diameter, so size does not matter
-    tiny = scale(poly, 1e-6)
-    assert np.isclose(tiny.inradius, 1e-6 * poly.inradius, rtol=1e-9)
+    # the erosion schedule has no absolute tolerance, so size does not matter
+    for t in (1e-8, 1e-6, 1e8):
+        assert np.isclose(scale(poly, t).inradius, t * poly.inradius, rtol=1e-9)
 
 
 def test_shape_spec_round_trip():

@@ -22,7 +22,6 @@ from torsionlab import ptorsion
 from torsionlab.functionals import build_shape_report
 from torsionlab.ptorsion import (
     Mesh,
-    SolverOptions,
     _ray_scale,
     default_h0,
     refine,
@@ -36,8 +35,10 @@ SQUARE = make_rectangle(1.0, 0.5)
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(max_iters=0)
+    mesh = triangulate(SQUARE, 0.25)
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError):
+            solve_p_torsion(mesh, 2.0, max_iters=max_iters)
 
 
 def test_triangulate_square_structured():
@@ -373,7 +374,7 @@ def test_refinement_levels_increase_at_large_p():
 def test_convergence_error_carries_solution():
     mesh = triangulate(SQUARE, 0.15)
     with pytest.raises(ConvergenceError) as exc:
-        solve_p_torsion(mesh, 5.0, SolverOptions(max_iters=2))
+        solve_p_torsion(mesh, 5.0, max_iters=2)
     assert exc.value.solution is not None
     assert exc.value.solution.converged is False
 
