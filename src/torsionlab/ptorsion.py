@@ -80,17 +80,22 @@ class Mesh:
     """Conforming triangulation of a convex polygon.
 
     nodes: (N, 2) float array; triangles: (M, 3) int array, positively
-    oriented; boundary_mask: (N,) bool; h_max: longest edge length.
-    Immutable, with cached FEM arrays (among them the band plan that
-    orders the interior nodes) and no link to a coarser mesh. Every array
-    it holds, given or cached, is read-only: rigidity_with_refinement
-    caches the meshes of each polygon and solves every p on the same ones.
+    oriented; boundary_mask: (N,) bool; h_max: longest edge length;
+    parent_edges: for a mesh made by refine, the (N - N0, 2) pairs of
+    coarse nodes whose midpoints are nodes N0.. (the first N0 nodes are the
+    coarse mesh's), else None. Immutable, with cached FEM arrays (among
+    them the band plan that orders the interior nodes). Every array it
+    holds, given or cached, is read-only: rigidity_with_refinement caches
+    the meshes of each polygon and solves every p on the same ones.
     """
 
-    def __init__(self, nodes, triangles, boundary_mask, h_max=None):
+    def __init__(self, nodes, triangles, boundary_mask, h_max=None, parent_edges=None):
         self.nodes = _frozen(np.ascontiguousarray(nodes, dtype=float))
         self.triangles = _frozen(np.ascontiguousarray(triangles, dtype=np.int32))
         self.boundary_mask = _frozen(np.ascontiguousarray(boundary_mask, dtype=bool))
+        if parent_edges is not None:
+            parent_edges = _frozen(np.ascontiguousarray(parent_edges, dtype=np.intp))
+        self.parent_edges = parent_edges
         self.areas = _frozen(_signed_areas(self.nodes, self.triangles))
         total = float(self.areas.sum())
         if np.any(self.areas <= 1e-14 * total):
@@ -145,14 +150,18 @@ class Mesh:
 
     @cached_property
     def _band_plan(self):
-        """Scatter of per-triangle blocks into the interior-reduced band matrix.
+        """Scatter of per-triangle stiffness entries into the interior-reduced
+        band matrix.
 
-        Returns (src, slot, perm, kd, nnz). The interior unknowns are taken
-        in reverse Cuthill-McKee order perm, which confines the matrix to
-        half-bandwidth kd. For (M, 3, 3) blocks, the lower-triangle entries
-        coupling two interior nodes are blocks.ravel()[src], and entry k adds
-        into element slot[k] of the Fortran-ordered (kd + 1, n) LAPACK lower
-        band array. nnz counts the distinct nonzeros of the full matrix.
+        Returns (tri, qi, qj, k, slot, perm, kd, nnz). The interior unknowns
+        are taken in reverse Cuthill-McKee order perm, which confines the
+        matrix to half-bandwidth kd. Entry e is the lower-triangle entry
+        (i, j) of triangle tri[e]'s 3 x 3 block that couples two interior
+        nodes: qi[e] = 3 tri[e] + i and qj[e] = 3 tri[e] + j index the
+        triangle's basis functions in (M, 3) arrays flattened,
+        k[e] = k_local[tri[e], i, j], and the entry adds into element slot[e]
+        of the Fortran-ordered (kd + 1, n) LAPACK lower band array. nnz
+        counts the distinct nonzeros of the full matrix.
         """
         ni = len(self.interior_index)
         imap = np.full(self.n_nodes, -1, dtype=np.int64)
@@ -172,38 +181,52 @@ class Mesh:
             raise MeshResourceError(f"a {kd + 1} x {ni} band exceeds {BAND_BUDGET} doubles")
         slot = (rows - cols)[lower] + (kd + 1) * cols[lower]
         nnz = len(np.unique(rows * ni + cols))
-        return _frozen(kept[lower]), _frozen(slot), _frozen(perm), kd, nnz
+        src = kept[lower]  # flat index into (M, 3, 3) blocks
+        tri, qi, qj = src // 9, src // 3, src // 9 * 3 + src % 3
+        k = self.k_local.ravel()[src]
+        plan = tuple(_frozen(a) for a in (tri, qi, qj, k, slot, perm))
+        return (*plan, kd, nnz)
 
-    def _assemble(self, blocks: np.ndarray) -> BandMatrix:
-        """Interior-reduced band matrix from (M, 3, 3) per-triangle blocks."""
-        src, slot, perm, kd, nnz = self._band_plan
+    def _assemble(self, values: np.ndarray) -> BandMatrix:
+        """Interior-reduced band matrix from the plan's per-entry values."""
+        slot, perm, kd, nnz = self._band_plan[4:]
         n = len(perm)
-        data = np.bincount(slot, weights=blocks.ravel()[src], minlength=(kd + 1) * n)
+        data = np.bincount(slot, weights=values, minlength=(kd + 1) * n)
         return BandMatrix(data.reshape(n, kd + 1).T, perm, nnz)
 
     def stiffness(self, weights: np.ndarray) -> BandMatrix:
         """Interior-reduced weighted stiffness matrix."""
-        return self._assemble(self.k_local * weights[:, None, None])
+        tri, _, _, k = self._band_plan[:4]
+        return self._assemble(weights[tri] * k)
 
     def energy_hessian(self, gu: np.ndarray, p: float, eps2: float):
         """(Hessian, gradient) of (1/p) int (|grad u|^2 + eps2)^(p/2) at the u
         whose per-triangle gradients are gu, interior-reduced; the gradient
         is K(w) u for the lagged weights w, formed per triangle. None if the
-        weights are not finite (wild iterate)."""
+        coefficients are not finite (wild iterate): c = (p - 2) w / (g + eps2)
+        is finite only where w is."""
         g = np.einsum("mj,mj->m", gu, gu)
         with np.errstate(over="ignore", invalid="ignore"):
             w = (g + eps2) ** ((p - 2.0) / 2.0)
             c = (p - 2.0) * w / (g + eps2)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(c))):
+        if not np.all(np.isfinite(c)):
             return None
         q = np.einsum("mj,mij->mi", gu, self.grads)
+        qf = q.ravel()
+        tri, qi, qj, k = self._band_plan[:4]
         # an entry that overflows still gets the Newton step rejected
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = w[:, None, None] * self.k_local
-            blocks += (c * self.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
+            ca = c * self.areas
+            values = w[tri] * k + (ca[tri] * qf[qi]) * qf[qj]
             grad = ((w * self.areas)[:, None] * q).ravel()
         grad = np.bincount(self.triangles.ravel(), weights=grad, minlength=self.n_nodes)
-        return self._assemble(blocks), grad[self.interior_index]
+        return self._assemble(values), grad[self.interior_index]
+
+    def prolong(self, u_coarse: np.ndarray) -> np.ndarray:
+        """Nodal values on this refined mesh of the piecewise-linear function
+        with nodal values u_coarse on the mesh it was refined from."""
+        e = self.parent_edges
+        return np.concatenate([u_coarse, 0.5 * (u_coarse[e[:, 0]] + u_coarse[e[:, 1]])])
 
     def gradient_field(self, u: np.ndarray) -> np.ndarray:
         """(M, 2) gradient of a nodal function on each triangle."""
@@ -409,7 +432,8 @@ def triangulate(poly: ConvexPolygon, h_target: float) -> Mesh:
 
 
 def refine(mesh: Mesh) -> Mesh:
-    """Uniform refinement: every triangle splits into four via edge midpoints."""
+    """Uniform refinement: every triangle splits into four via edge midpoints,
+    which become nodes n_nodes.. of the fine mesh (its parent_edges)."""
     tris = mesh.triangles
     edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     uniq, inverse, counts = np.unique(
@@ -432,7 +456,7 @@ def refine(mesh: Mesh) -> Mesh:
         ]
     )
     boundary = np.concatenate([mesh.boundary_mask, counts == 1])
-    return Mesh(nodes, children, boundary)
+    return Mesh(nodes, children, boundary, parent_edges=uniq)
 
 
 # -- nonlinear solve --------------------------------------------------------
@@ -463,7 +487,9 @@ MAX_ITERS = 500
 @dataclass
 class TorsionSolution:
     """Discrete p-torsion function and its integral on one mesh. iterations
-    is newton_steps + lagged_steps, the steps tried, plus the start's solve."""
+    is newton_steps + lagged_steps, the steps tried, plus the start's linear
+    solve where there is one (a given start or the distance start costs
+    none). backtracks counts the line-search trials rejected."""
 
     mesh: Mesh
     p: float
@@ -475,14 +501,14 @@ class TorsionSolution:
     energy_trace: list
     newton_steps: int = 0
     lagged_steps: int = 0
+    backtracks: int = 0
 
 
 def _energy(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float) -> float:
-    """Regularized energy of a function with squared gradients g and b.u = f."""
+    """Regularized energy of a function with squared gradients g and b.u = f;
+    inf if it overflows, which callers allow with np.errstate(over="ignore")."""
     x = np.maximum(g + eps2, POWER_FLOOR ** (2.0 / p))
-    with np.errstate(over="ignore"):
-        bulk = float(np.sum(mesh.areas * x ** (p / 2.0)))
-    return bulk / p - f
+    return float(np.sum(mesh.areas * x ** (p / 2.0))) / p - f
 
 
 def _ray_scale(mesh: Mesh, g: np.ndarray, f: float, p: float) -> float:
@@ -505,25 +531,29 @@ def _ray_scale(mesh: Mesh, g: np.ndarray, f: float, p: float) -> float:
 
 def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
     """(energy at eps2, s) of the lower of u, with squared gradients g and
-    b.u = f, (s = 1) and its ray minimizer s u, which wins ties."""
+    b.u = f, (s = 1) and its ray minimizer s u, which wins ties. Callers
+    allow overflow, as for _energy."""
     j = _energy(mesh, g, f, p, eps2)
     s = _ray_scale(mesh, g, f, p)
     if s != 1.0:
-        with np.errstate(over="ignore"):
-            j_s = _energy(mesh, g * s * s, s * f, p, eps2)
+        j_s = _energy(mesh, g * s * s, s * f, p, eps2)
         if j_s <= j:
             return j_s, s
     return j, 1.0
 
 
-def solve_p_torsion(mesh: Mesh, p: float, max_iters: int = MAX_ITERS) -> TorsionSolution:
+def solve_p_torsion(
+    mesh: Mesh, p: float, max_iters: int = MAX_ITERS, start: np.ndarray | None = None
+) -> TorsionSolution:
     """Minimize the discrete p-torsion energy by Newton steps along a
     continuation in the regularization, with lagged diffusivity as fallback.
 
-    It starts from the distance to the boundary for p > 8 (close to the
-    large-p minimizer), else from the p = 2 solution, moved to its best ray.
-    At each level of EPS_LEVELS, eps = eps_rel * max |grad u| for the
-    current iterate. Each step tries the Newton direction of the regularized
+    It starts from `start` (nodal values; boundary values are taken as 0)
+    when one is given, which costs no linear solve; else from the distance
+    to the boundary for p > 8 (close to the large-p minimizer), else from
+    the p = 2 solution. Any start is first moved to its best ray. At p = 2
+    the solve is one linear solve and `start` is not used. At each level
+    of EPS_LEVELS, eps = eps_rel * max |grad u| for the current iterate. Each step tries the Newton direction of the regularized
     energy first and the lagged (Kacanov) step only where Newton is
     rejected; either goes through one halving line search, against the ray
     minimizer of each trial point, and must not raise the energy. A level
@@ -561,28 +591,36 @@ def solve_p_torsion(mesh: Mesh, p: float, max_iters: int = MAX_ITERS) -> Torsion
         return _checked(TorsionSolution(mesh, p, u, t_p, e2, 1, True, [(0, e2)]))
 
     iterations = 0
-    if p > 8.0:
+    if start is not None:
+        u = np.array(start, dtype=float)
+        u[mesh.boundary_mask] = 0.0
+    elif p > 8.0:
         u = mesh.boundary_node_distances.copy()
         u[mesh.boundary_mask] = 0.0
     else:
         u = linear_solve(np.ones(mesh.n_triangles))
         iterations = 1
+    trials = 0
 
     def search(u, gu, d, lam, j_cur, eps2, must_lower):
         """Halve lam until u + lam d, or its ray minimizer, does not raise the
         energy at eps2; trials are priced from the gradients of u and d. The
         accepted (point, lam), or None after 40 halvings or, if must_lower,
         when it does not lower the energy (passed by rounding alone)."""
+        nonlocal trials
         gd = mesh.gradient_field(d)
         f_u, f_d = float(load @ u), float(load @ d)
-        for _ in range(40):
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            for _ in range(40):
+                trials += 1
                 gc = gu + lam * gd
-            j_c, s = _ray_priced(mesh, np.einsum("mj,mj->m", gc, gc), f_u + lam * f_d, p, eps2)
-            if j_c <= j_cur + 1e-12 * abs(j_cur):
-                return None if must_lower and j_c >= j_cur else ((u + lam * d) * s, lam)
-            lam *= 0.5
-        return None
+                j_c, s = _ray_priced(mesh, np.einsum("mj,mj->m", gc, gc), f_u + lam * f_d, p, eps2)
+                if j_c <= j_cur + 1e-12 * abs(j_cur):
+                    break
+                lam *= 0.5
+            else:
+                return None
+        return None if must_lower and j_c >= j_cur else ((u + lam * d) * s, lam)
 
     def lagged_point(g, eps2):
         # weights (|grad u|^2 + eps^2)^((p-2)/2), scaled to max 1 in log space
@@ -615,7 +653,9 @@ def solve_p_torsion(mesh: Mesh, p: float, max_iters: int = MAX_ITERS) -> Torsion
     li = 0
     while True:
         eps2 = (EPS_LEVELS[li] * EPS_LEVELS[li]) * (float(g.max()) or 1.0)
-        j_cur = _energy(mesh, g, float(load @ u), p, eps2)
+        f = float(load @ u)
+        with np.errstate(over="ignore"):
+            j_cur = _energy(mesh, g, f, p, eps2)
         remaining = max_iters - iterations
         cap = remaining if li == last else max(10, remaining // (2 * (last + 1 - li)))
         settled = False  # the level ended on its first step, a full Newton step
@@ -643,7 +683,9 @@ def solve_p_torsion(mesh: Mesh, p: float, max_iters: int = MAX_ITERS) -> Torsion
             u = u_new
             gu = mesh.gradient_field(u)
             g = np.einsum("mj,mj->m", gu, gu)
-            j_prev, j_cur = j_cur, _energy(mesh, g, float(load @ u), p, eps2)
+            f = float(load @ u)
+            with np.errstate(over="ignore"):
+                j_prev, j_cur = j_cur, _energy(mesh, g, f, p, eps2)
             rel_dec = (j_prev - j_cur) / max(abs(j_cur), 1e-300)
             trace.append((li, j_cur))
             if li == last:
@@ -658,11 +700,15 @@ def solve_p_torsion(mesh: Mesh, p: float, max_iters: int = MAX_ITERS) -> Torsion
         li = last if settled else li + 1
     # on the optimal ray b.u equals the p-energy, so the reported integral
     # stays a lower bound of the discrete optimum even if slightly unconverged
-    energy, s = _ray_priced(mesh, g, float(load @ u), p, 0.0)
+    f = float(load @ u)
+    with np.errstate(over="ignore"):
+        energy, s = _ray_priced(mesh, g, f, p, 0.0)
     u = u * s
     t_p = float(load @ u)
+    backtracks = trials - len(trace)  # every search accepts at most its last trial
     sol = TorsionSolution(
-        mesh, p, u, t_p, energy, iterations, converged, trace, newton_steps, lagged_steps
+        mesh, p, u, t_p, energy, iterations, converged, trace, newton_steps, lagged_steps,
+        backtracks,
     )
     if not converged:
         raise ConvergenceError(
@@ -742,10 +788,14 @@ def rigidity_with_refinement(
 ) -> RigidityEstimate:
     """Solve on `levels` uniformly refined meshes and extrapolate T_p.
 
-    Each level is solved on its own from solve_p_torsion's start, so on
-    nested meshes T_p grows with the level. The error estimate is the
-    difference of the two finest levels; the empirical convergence order
-    comes from the last three levels when available (clamped to [0.5, 4]).
+    For p <= 8 each refined level starts from the coarser level's solution,
+    interpolated at edge midpoints (nested iteration), in place of
+    solve_p_torsion's p = 2 start. The base level, and every level for
+    p > 8, where the distance start needs fewer iterations, start from
+    solve_p_torsion's own start. On nested meshes T_p grows with the level.
+    The error estimate is the difference of the two finest levels; the
+    empirical convergence order comes from the last three levels when
+    available (clamped to [0.5, 4]).
     The meshes are cached per polygon object and h0 and are read-only:
     every p solved on the same polygon reuses them, with their FEM arrays
     and band plans, and est.solution.mesh is one of them.
@@ -757,8 +807,10 @@ def rigidity_with_refinement(
     values: list[float] = []
     h_values: list[float] = []
     iterations = 0
+    sol = None
     for mesh in _nested_meshes(poly, h0, levels):
-        sol = solve_p_torsion(mesh, p, max_iters)
+        start = mesh.prolong(sol.u) if sol is not None and p <= 8.0 else None
+        sol = solve_p_torsion(mesh, p, max_iters, start=start)
         values.append(sol.t_p)
         h_values.append(mesh.h_max)
         iterations += sol.iterations

@@ -87,6 +87,15 @@ def test_refine_quadruples():
     a, b, c = (fine.nodes[fine.triangles[:, k]] for k in range(3))
     areas = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
     assert np.isclose(areas.sum(), 1.0, rtol=1e-12)
+    # the new nodes are the midpoints of the parent edges, so prolonging a
+    # linear function gives its values at the fine nodes
+    edges = fine.parent_edges
+    assert edges.shape == (fine.n_nodes - mesh.n_nodes, 2) and mesh.parent_edges is None
+    assert np.array_equal(fine.nodes[: mesh.n_nodes], mesh.nodes)
+    mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+    assert np.array_equal(fine.nodes[mesh.n_nodes :], mid)
+    linear = lambda x: 0.3 + x[:, 0] - 2.0 * x[:, 1]  # noqa: E731
+    assert np.allclose(fine.prolong(linear(mesh.nodes)), linear(fine.nodes), rtol=0, atol=1e-15)
 
 
 def test_mesh_rejects_inverted_triangles():
@@ -188,6 +197,53 @@ def test_band_assembly_matches_dense_reference():
                     u_int = u[mesh.interior_index]
                     bound = 64 * np.finfo(float).eps * (k_mag @ np.abs(u_int))
                     assert np.all(np.abs(grad - k_ref @ u_int) <= bound), label
+
+
+def _block_band(mesh, blocks):
+    """Band array of (M, 3, 3) blocks by the scatter that assembled whole
+    blocks: the kept lower-triangle entries in block order, summed by one
+    np.bincount in the plan's RCM order."""
+    perm, kd = mesh._band_plan[5:7]
+    ni = len(perm)
+    imap = np.full(mesh.n_nodes, -1)
+    imap[mesh.interior_index] = np.argsort(perm)
+    ti = imap[mesh.triangles]
+    rows = np.broadcast_to(ti[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(ti[:, None, :], blocks.shape).ravel()
+    kept = np.flatnonzero((rows >= 0) & (cols >= 0) & (rows >= cols))
+    slot = rows[kept] - cols[kept] + (kd + 1) * cols[kept]
+    data = np.bincount(slot, weights=blocks.ravel()[kept], minlength=(kd + 1) * ni)
+    return data.reshape(ni, kd + 1).T
+
+
+def test_band_entries_match_block_assembly_bitwise():
+    # the plan prices only the kept band entries, in the order and with the
+    # operations (w k + (c a q_i) q_j for the Hessian) of whole-block assembly
+    rng = np.random.default_rng(8)
+    for poly in (SQUARE, random_convex_polygon(0)):
+        mesh = triangulate(poly, default_h0(poly))
+        for lvl in range(3):
+            if lvl:
+                mesh = refine(mesh)
+            m = mesh.n_triangles
+            w = np.exp(5.0 * rng.standard_normal(m))
+            for weights in (w, np.zeros(m)):
+                blocks = mesh.k_local * weights[:, None, None]
+                assert mesh.stiffness(weights).ab.tobytes() == _block_band(mesh, blocks).tobytes()
+            u = mesh.boundary_node_distances * (1.0 + rng.random(mesh.n_nodes))
+            u[mesh.boundary_mask] = 0.0
+            gu = mesh.gradient_field(u)
+            g = np.einsum("mj,mj->m", gu, gu)
+            q = np.einsum("mj,mij->mi", gu, mesh.grads)
+            for p in (1.05, 3.0, 32.0):
+                for eps_rel in (1e-2, 1e-10):
+                    eps2 = eps_rel * eps_rel * float(g.max())
+                    w = (g + eps2) ** ((p - 2.0) / 2.0)
+                    c = (p - 2.0) * w / (g + eps2)
+                    blocks = w[:, None, None] * mesh.k_local
+                    blocks += (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
+                    hess, _ = mesh.energy_hessian(gu, p, eps2)
+                    assert hess.ab.tobytes() == _block_band(mesh, blocks).tobytes(), (p, eps_rel)
 
 
 def test_band_solve_matches_dense_solve():
@@ -475,10 +531,10 @@ def test_shared_mesh_arrays_are_read_only():
     mesh = rigidity_with_refinement(SQUARE, 3.0, levels=2, h0=0.25).solution.mesh
     arrays = [
         mesh.nodes, mesh.triangles, mesh.boundary_mask, mesh.areas, mesh.grads, mesh.k_local,
-        mesh.load_vector, mesh.interior_index, mesh.boundary_node_distances,
+        mesh.load_vector, mesh.interior_index, mesh.boundary_node_distances, mesh.parent_edges,
     ]
     arrays += [a for a in mesh._band_plan if isinstance(a, np.ndarray)]
-    assert len(arrays) == 12
+    assert len(arrays) == 16
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = a.flat[0]
@@ -515,6 +571,7 @@ def test_search_trials_gather_no_nodal_values(monkeypatch):
         # every trial prices one ray scale, as do the start and the end
         trials = len(scales) - 2
         assert trials >= searches, p
+        assert sol.backtracks == trials - len(sol.energy_trace), p
         if p == 1.05:
             assert trials > 2 * searches  # damped steps: halvings were tried
 
@@ -561,3 +618,43 @@ def test_solves_reach_the_previous_loops_minima(monkeypatch):
             assert sol.converged and sol.lagged_steps > 100 and sol.newton_steps == 0
             assert np.isclose(sol.energy, energy(mesh, sol.u, p), rtol=1e-12, atol=0)
             assert np.isclose(sol.t_p, t_ref, rtol=1e-8, atol=0)
+
+
+def test_nested_levels_start_from_the_prolonged_coarse_solution():
+    # for p <= 8 each refined level is solve_p_torsion started from the
+    # coarser level's u, interpolated at edge midpoints; that start costs no
+    # linear solve
+    poly = random_convex_polygon([41, 2])
+    for p in (1.05, 3.0):
+        est = rigidity_with_refinement(poly, p, levels=3)
+        meshes = ptorsion._nested_meshes(poly, default_h0(poly), 3)
+        sol = solve_p_torsion(meshes[0], p)
+        iterations = sol.iterations
+        for fine in meshes[1:]:
+            e = fine.parent_edges
+            start = np.concatenate([sol.u, 0.5 * (sol.u[e[:, 0]] + sol.u[e[:, 1]])])
+            sol = solve_p_torsion(fine, p, start=start)
+            assert sol.iterations == sol.newton_steps + sol.lagged_steps
+            iterations += sol.iterations
+        assert sol.u.tobytes() == est.solution.u.tobytes(), p
+        assert sol.t_p == est.values[-1] and iterations == est.iterations, p
+
+
+def test_nested_levels_match_cold_solves():
+    # the nested start moves each refined level's T_p by rounding only
+    for poly in (SQUARE, random_convex_polygon([41, 2])):
+        meshes = ptorsion._nested_meshes(poly, default_h0(poly), 3)
+        for p in (1.05, 1.5, 3.0, 8.0):
+            est = rigidity_with_refinement(poly, p)
+            for mesh, t_p in zip(meshes[1:], est.values[1:]):
+                cold = solve_p_torsion(mesh, p).t_p
+                assert abs(t_p - cold) <= 1e-8 * cold, (p, mesh.n_nodes, t_p, cold)
+
+
+def test_large_p_levels_are_cold_solves():
+    # above p = 8 every level keeps the distance start
+    poly = random_convex_polygon([41, 2])
+    meshes = ptorsion._nested_meshes(poly, default_h0(poly), 3)
+    for p in (10.0, 32.0):
+        est = rigidity_with_refinement(poly, p)
+        assert est.values == [solve_p_torsion(mesh, p).t_p for mesh in meshes], p
