@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidDomainError
 from .geometry import ConvexPolygon, erode
-from .ptorsion import MAX_ITERS, rigidity_with_refinement
+from .ptorsion import rigidity_with_refinement
 from .functionals import normalized_rigidity
 
 
@@ -63,7 +63,6 @@ def p_to_one_trend(
     p_list,
     levels: int = 3,
     h0: float | None = None,
-    max_iters: int = MAX_ITERS,
 ) -> SmallPTrend:
     """Tabulate T(p; .) for a decreasing list of exponents near 1.
 
@@ -80,7 +79,7 @@ def p_to_one_trend(
     result = cheeger_constant(poly)
     rows = []
     for p in ps:
-        est = rigidity_with_refinement(poly, p, levels=levels, h0=h0, max_iters=max_iters)
+        est = rigidity_with_refinement(poly, p, levels=levels, h0=h0)
         t_norm = normalized_rigidity(est.t_p, poly.area, p)
         rows.append((p, t_norm, abs(t_norm - result.h)))
     return SmallPTrend(rows=rows, cheeger=result, q1=poly.inradius * result.h)

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: shape, sweep, verify, cheeger, limits, estimate-gamma.
+Subcommands: shape, sweep, verify, pairs, cheeger, limits, estimate-gamma.
 Exit codes: 0 success, 1 input error, 2 solver or resource failure,
 3 verdict failure. All floating output uses 9 significant digits and is
 byte-identical for identical arguments.
@@ -38,7 +38,7 @@ from .functionals import (
     report_csv_rows,
 )
 from .geometry import make_rectangle, make_regular_ngon, shape_from_json
-from .ptorsion import MAX_ITERS, triangulate, default_h0
+from .ptorsion import triangulate, default_h0
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -97,7 +97,6 @@ def cmd_shape(args) -> int:
         args.p,
         levels=args.levels,
         h0=args.h0,
-        max_iters=args.max_iters,
         shape_id=args.shape_id,
         with_cheeger=args.cheeger,
     )
@@ -147,7 +146,7 @@ def cmd_sweep(args) -> int:
     else:
         kwargs["count"] = args.count
     config = FamilySweepConfig(**kwargs)
-    rows = sweep(config, max_iters=args.max_iters)
+    rows = sweep(config)
     failed = [r for r in rows if r["status"] != "ok"]
     if rows and len(failed) == len(rows):
         sys.stderr.write("sweep: every row failed\n")
@@ -189,8 +188,6 @@ def _bundled_shapes():
 
 
 def cmd_verify(args) -> int:
-    if args.pairs:
-        return _verify_pairs(args)
     if args.spec:
         shapes = [(args.shape_id, _load_spec(args.spec))]
     else:
@@ -200,25 +197,18 @@ def cmd_verify(args) -> int:
     failing = []
     for shape_id, poly in shapes:
         report = build_shape_report(
-            poly,
-            args.p,
-            levels=args.levels,
-            h0=args.h0,
-            max_iters=args.max_iters,
-            shape_id=shape_id,
+            poly, args.p, levels=args.levels, h0=args.h0, shape_id=shape_id
         )
         for entry in report.entries:
             for v in entry.verdicts:
-                slack = v.slack * args.slack_factor
-                ok = v.margin >= -slack
-                all_ok &= ok
-                if not ok:
+                all_ok &= v.passed
+                if not v.passed:
                     failing.append(f"{shape_id} p={format_value(entry.p)} {v.name}")
                 lines.append(
                     f"{shape_id:24s} p={format_value(entry.p):>4s} "
                     f"{v.name:28s} value={format_value(v.value):>12s} "
                     f"margin={format_value(v.margin):>12s} "
-                    f"{'pass' if ok else 'FAIL'}"
+                    f"{'pass' if v.passed else 'FAIL'}"
                 )
     text = "\n".join(lines) + "\n"
     summary = "all corridor checks passed\n" if all_ok else (
@@ -228,24 +218,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 
-def _verify_pairs(args) -> int:
-    if len(args.p) != 1:
-        raise InvalidDomainError("--pairs verification uses exactly one p")
+def cmd_pairs(args) -> int:
     study = compare_pairs(
-        args.a,
-        args.b,
-        args.p[0],
-        n_pairs=args.count,
-        seed=args.seed,
-        levels=args.levels,
-        max_iters=args.max_iters,
+        args.a, args.b, args.p, n_pairs=args.count, seed=args.seed, levels=args.levels
     )
     if args.format == "json":
         _emit(dumps_9g(asdict(study)) + "\n", args.out)
     else:
         lines = [
             f"pairs a={format_value(args.a)} b={format_value(args.b)} "
-            f"p={format_value(args.p[0])} guaranteed={str(study.guaranteed).lower()}"
+            f"p={format_value(args.p)} guaranteed={str(study.guaranteed).lower()}"
         ]
         for r in study.rows:
             lines.append(
@@ -279,9 +261,7 @@ def cmd_limits(args) -> int:
     doc: dict = {"schema_version": SCHEMA_VERSION}
     rows_csv: list[dict] = []
     if args.direction in ("small-p", "both"):
-        small = p_to_one_trend(
-            poly, args.p_small, levels=args.levels, h0=args.h0, max_iters=args.max_iters
-        )
+        small = p_to_one_trend(poly, args.p_small, levels=args.levels, h0=args.h0)
         doc["small_p"] = {
             "rows": [
                 {"p": p, "T_norm": t, "deviation_from_h": d} for p, t, d in small.rows
@@ -294,9 +274,7 @@ def cmd_limits(args) -> int:
             for p, t, d in small.rows
         ]
     if args.direction in ("large-p", "both"):
-        large = p_to_infinity_trend(
-            poly, args.p_large, levels=args.levels, h0=args.h0, max_iters=args.max_iters
-        )
+        large = p_to_infinity_trend(poly, args.p_large, levels=args.levels, h0=args.h0)
         doc["large_p"] = large.to_json_dict()
         rows_csv += [
             {"direction": "large-p", "p": p, "value": v, "deviation": d}
@@ -310,13 +288,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_estimate_gamma(args) -> int:
-    est = estimate_gamma(
-        p=args.p[0],
-        count=args.count,
-        seed=args.seed,
-        levels=args.levels,
-        max_iters=args.max_iters,
-    )
+    est = estimate_gamma(p=args.p, count=args.count, seed=args.seed, levels=args.levels)
     _emit(dumps_9g(asdict(est)) + "\n", args.out)
     return EXIT_OK
 
@@ -332,7 +304,6 @@ def build_parser() -> _Parser:
         "--spec": dict(required=True, help="inline JSON or path to a JSON shape spec"),
         "--levels": dict(type=int, default=3, help="refinement levels"),
         "--h0": dict(type=float, default=None, help="coarse mesh target edge length"),
-        "--max-iters": dict(type=int, default=MAX_ITERS, help="solver iteration budget"),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--out": dict(default=None, help="output path (default stdout)"),
         "--shape-id": dict(default="shape"),
@@ -350,7 +321,7 @@ def build_parser() -> _Parser:
     ps.set_defaults(func=cmd_shape)
 
     pw = sub.add_parser("sweep", help="family sweep with reference columns")
-    add(pw, "--levels", "--h0", "--max-iters", "--format", "--out")
+    add(pw, "--levels", "--h0", "--format", "--out")
     pw.add_argument("--family", required=True, choices=FAMILIES)
     pw.add_argument("--kappa", type=_parse_floats, default=None, help="aspect ratios")
     pw.add_argument("--count", type=int, default=10)
@@ -361,31 +332,34 @@ def build_parser() -> _Parser:
     pw.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="corridor checks with margins")
-    add(pv, "--levels", "--h0", "--max-iters", "--format", "--out", "--shape-id")
+    add(pv, "--levels", "--h0", "--out", "--shape-id")
     pv.add_argument("--spec", default=None, help="shape to verify (default: bundled shapes)")
     pv.add_argument("--p", type=_parse_floats, default=[1.5, 2.0, 5.0])
-    pv.add_argument("--slack-factor", type=float, default=1.0, help="scale all slack budgets")
-    pv.add_argument("--pairs", action="store_true", help="pairwise comparison mode")
-    pv.add_argument("--a", type=float, default=0.4, help="inradius of the first class")
-    pv.add_argument("--b", type=float, default=1.0, help="inradius of the second class")
-    pv.add_argument("--count", type=int, default=10, help="number of pairs")
-    pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(func=cmd_verify)
+
+    pp = sub.add_parser("pairs", help="pairwise rigidity comparison across two inradius classes")
+    add(pp, "--levels", "--format", "--out")
+    pp.add_argument("--a", type=float, default=0.4, help="inradius of the first class")
+    pp.add_argument("--b", type=float, default=1.0, help="inradius of the second class")
+    pp.add_argument("--p", type=float, default=2.0)
+    pp.add_argument("--count", type=int, default=10, help="number of pairs")
+    pp.add_argument("--seed", type=int, default=0)
+    pp.set_defaults(func=cmd_pairs)
 
     pc = sub.add_parser("cheeger", help="small-p limit constant from the exact erosion schedule")
     add(pc, "--spec", "--out")
     pc.set_defaults(func=cmd_cheeger)
 
     pl = sub.add_parser("limits", help="small-p and large-p trend studies")
-    add(pl, "--spec", "--levels", "--h0", "--max-iters", "--format", "--out")
+    add(pl, "--spec", "--levels", "--h0", "--format", "--out")
     pl.add_argument("--direction", choices=("small-p", "large-p", "both"), default="both")
     pl.add_argument("--p-small", type=_parse_floats, default=[1.2, 1.1, 1.05])
     pl.add_argument("--p-large", type=_parse_floats, default=[8.0, 16.0, 32.0])
     pl.set_defaults(func=cmd_limits)
 
     pg = sub.add_parser("estimate-gamma", help="empirical comparison-constant estimate")
-    add(pg, "--levels", "--max-iters", "--out")
-    pg.add_argument("--p", type=_parse_floats, default=[2.0])
+    add(pg, "--levels", "--out")
+    pg.add_argument("--p", type=float, default=2.0)
     pg.add_argument("--count", type=int, default=50)
     pg.add_argument("--seed", type=int, default=0)
     pg.set_defaults(func=cmd_estimate_gamma)

@@ -29,7 +29,7 @@ from .geometry import (
     random_convex_polygon,
     scale,
 )
-from .ptorsion import MAX_ITERS, P_MAX_SUPPORTED, RigidityEstimate, rigidity_with_refinement
+from .ptorsion import P_MAX_SUPPORTED, RigidityEstimate, rigidity_with_refinement
 
 FAMILIES = ("rectangles", "ellipses", "triangles", "random")
 NORMALIZATIONS = ("none", "by_inradius", "by_avg_distance")
@@ -132,7 +132,7 @@ def _reference_columns(config: FamilySweepConfig, kappa, poly: ConvexPolygon, p:
     return cols
 
 
-def sweep(config: FamilySweepConfig, max_iters: int = MAX_ITERS) -> list[dict]:
+def sweep(config: FamilySweepConfig) -> list[dict]:
     """Run the family sweep; returns flat rows including reference columns.
 
     Solver failures are captured per row (status column) instead of
@@ -146,7 +146,6 @@ def sweep(config: FamilySweepConfig, max_iters: int = MAX_ITERS) -> list[dict]:
             config.p_grid,
             levels=config.levels,
             h0=config.h0,
-            max_iters=max_iters,
             shape_id=shape_id,
             capture_errors=True,
         )
@@ -186,7 +185,6 @@ def p_to_infinity_trend(
     p_list,
     levels: int = 3,
     h0: float | None = None,
-    max_iters: int = MAX_ITERS,
 ) -> InfinityTrend:
     """Track T(p;Omega)^{1/p} * delta toward its limit value 1.
 
@@ -201,7 +199,7 @@ def p_to_infinity_trend(
     area = poly.area
     rows = []
     for p in p_list:
-        est = rigidity_with_refinement(poly, p, levels=levels, h0=h0, max_iters=max_iters)
+        est = rigidity_with_refinement(poly, p, levels=levels, h0=h0)
         t_norm = normalized_rigidity(est.t_p, area, p)
         value = math.exp(math.log(t_norm) / p) * delta
         rows.append((p, value, abs(value - 1.0)))
@@ -261,7 +259,6 @@ def compare_pairs(
     n_pairs: int = 10,
     seed: int = 0,
     levels: int = 3,
-    max_iters: int = MAX_ITERS,
 ) -> PairStudy:
     """Sample polygon pairs rescaled to inradii a and b and compare their
     normalized rigidities."""
@@ -290,8 +287,8 @@ def compare_pairs(
         poly_b = random_convex_polygon([seed, 2 * k + 1])
         poly_a = scale(poly_a, a / poly_a.inradius)
         poly_b = scale(poly_b, b / poly_b.inradius)
-        est_a = rigidity_with_refinement(poly_a, p, levels=levels, max_iters=max_iters)
-        est_b = rigidity_with_refinement(poly_b, p, levels=levels, max_iters=max_iters)
+        est_a = rigidity_with_refinement(poly_a, p, levels=levels)
+        est_b = rigidity_with_refinement(poly_b, p, levels=levels)
         tn_a = normalized_rigidity(est_a.t_p, poly_a.area, p)
         tn_b = normalized_rigidity(est_b.t_p, poly_b.area, p)
         # relative solver slack transfers to T_norm with a factor (p-1)
@@ -371,8 +368,8 @@ UPPER_BOUND_LABEL = (
 CURVED_MEMBER_TOL = 2e-3
 
 
-def _q_sample(poly: ConvexPolygon, p, levels, max_iters) -> tuple[float, RigidityEstimate]:
-    est = rigidity_with_refinement(poly, p, levels=levels, max_iters=max_iters)
+def _q_sample(poly: ConvexPolygon, p, levels) -> tuple[float, RigidityEstimate]:
+    est = rigidity_with_refinement(poly, p, levels=levels)
     t_norm = normalized_rigidity(est.t_p, poly.area, p)
     return q_functional(t_norm, poly.inradius, p), est
 
@@ -382,7 +379,6 @@ def estimate_gamma(
     count: int = 50,
     seed: int = 0,
     levels: int = 3,
-    max_iters: int = MAX_ITERS,
 ) -> GammaEstimate:
     """Estimate the extreme-value ratio of Q_p from random polygons plus
     injected family members that probe both ends of the window.
@@ -405,7 +401,7 @@ def estimate_gamma(
     samples = []
     q_by_id = {}
     for shape_id, poly in shapes:
-        q_p, est = _q_sample(poly, p, levels, max_iters)
+        q_p, est = _q_sample(poly, p, levels)
         q_by_id[shape_id] = (q_p, est)
         samples.append(
             {
@@ -439,12 +435,12 @@ def estimate_gamma(
             "levels": levels,
             "injected": [shape_id for shape_id, _ in injected],
         },
-        family_checks=_family_checks(p, q_by_id, levels, max_iters),
+        family_checks=_family_checks(p, q_by_id, levels),
         samples=samples,
     )
 
 
-def _family_checks(p, q_by_id, levels, max_iters) -> list[FamilyCheck]:
+def _family_checks(p, q_by_id, levels) -> list[FamilyCheck]:
     """Measured ratio of each family against its proven bound.
 
     A member is (label, m): m is the id of an injected sample in q_by_id or
@@ -470,7 +466,7 @@ def _family_checks(p, q_by_id, levels, max_iters) -> list[FamilyCheck]:
     checks = []
     for family, bound, extra_tol, members in table:
         sampled = [
-            q_by_id[m] if isinstance(m, str) else _q_sample(m, p, levels, max_iters)
+            q_by_id[m] if isinstance(m, str) else _q_sample(m, p, levels)
             for _, m in members
         ]
         qs = [q for q, _ in sampled]

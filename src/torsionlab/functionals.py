@@ -16,7 +16,7 @@ import numpy as np
 from .closed_form import ball_torsion_integral, corridor_endpoints, prefactor
 from .errors import ConvergenceError, InvalidDomainError
 from .geometry import ConvexPolygon, average_distance
-from .ptorsion import MAX_ITERS, RigidityEstimate, rigidity_with_refinement
+from .ptorsion import RigidityEstimate, rigidity_with_refinement
 
 # Pure-geometry checks (no solver involved) pass/fail against this slack.
 GEOMETRY_SLACK = 1e-9
@@ -301,7 +301,6 @@ def build_shape_report(
     p_values,
     levels: int = 3,
     h0: float | None = None,
-    max_iters: int = MAX_ITERS,
     shape_id: str = "shape",
     with_cheeger: bool = False,
     capture_errors: bool = False,
@@ -328,7 +327,7 @@ def build_shape_report(
     for p in p_values:
         p = float(p)
         try:
-            est = rigidity_with_refinement(poly, p, levels=levels, h0=h0, max_iters=max_iters)
+            est = rigidity_with_refinement(poly, p, levels=levels, h0=h0)
         except ConvergenceError as exc:
             if not capture_errors:
                 raise

@@ -342,6 +342,8 @@ class ShapeSpec:
             raise InvalidDomainError(
                 f"shape kind {self.kind!r} is missing parameter {exc}"
             ) from None
+        except (IndexError, TypeError) as exc:
+            raise InvalidDomainError(f"malformed {self.kind!r} shape spec: {exc}") from None
         raise InvalidDomainError(f"unknown shape kind {self.kind!r}")
 
 

@@ -482,6 +482,12 @@ LOG_WEIGHT_FLOOR = math.log(1e-10)
 POWER_FLOOR = 1e-300
 # Iteration budget of one solve, over all eps levels.
 MAX_ITERS = 500
+# Above this p every solve starts from the distance to the boundary; at or
+# below it from the p = 2 solution, and a refined level of a refinement study
+# from the prolonged coarse solution. Prolonged starts took more iterations
+# above it over three levels of random polygons (539 -> 651 at p = 10,
+# 753 -> 1020 at p = 32) and fewer at p = 8 (892 -> 723).
+DISTANCE_START_P = 8.0
 
 
 @dataclass
@@ -542,18 +548,17 @@ def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
     return j, 1.0
 
 
-def solve_p_torsion(
-    mesh: Mesh, p: float, max_iters: int = MAX_ITERS, start: np.ndarray | None = None
-) -> TorsionSolution:
+def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> TorsionSolution:
     """Minimize the discrete p-torsion energy by Newton steps along a
     continuation in the regularization, with lagged diffusivity as fallback.
 
     It starts from `start` (nodal values; boundary values are taken as 0)
     when one is given, which costs no linear solve; else from the distance
-    to the boundary for p > 8 (close to the large-p minimizer), else from
-    the p = 2 solution. Any start is first moved to its best ray. At p = 2
-    the solve is one linear solve and `start` is not used. At each level
-    of EPS_LEVELS, eps = eps_rel * max |grad u| for the current iterate. Each step tries the Newton direction of the regularized
+    to the boundary for p > DISTANCE_START_P (close to the large-p
+    minimizer), else from the p = 2 solution. Any start is first moved to
+    its best ray. At p = 2 the solve is one linear solve and `start` is not
+    used. At each level of EPS_LEVELS, eps = eps_rel * max |grad u| for the
+    current iterate. Each step tries the Newton direction of the regularized
     energy first and the lagged (Kacanov) step only where Newton is
     rejected; either goes through one halving line search, against the ray
     minimizer of each trial point, and must not raise the energy. A level
@@ -561,12 +566,12 @@ def solve_p_torsion(
     is its first step and a full (lam = 1) Newton step, the last level comes
     next. On the last level a step must lower the energy. It converges on a
     full step that lowers the energy by less than TOL_NEWTON, or when both
-    kinds of step are rejected (the floating-point floor).
+    kinds of step are rejected (the floating-point floor). A solve that
+    has not converged after MAX_ITERS iterations, over all levels, raises
+    ConvergenceError carrying its last iterate.
     """
     if not (1.0 < p <= P_MAX_SUPPORTED):
         raise ValueError(f"p must lie in (1, {P_MAX_SUPPORTED}], got {p}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     interior = mesh.interior_index
     if interior.size == 0:
         raise MeshResourceError("mesh has no interior nodes; decrease h_target")
@@ -594,7 +599,7 @@ def solve_p_torsion(
     if start is not None:
         u = np.array(start, dtype=float)
         u[mesh.boundary_mask] = 0.0
-    elif p > 8.0:
+    elif p > DISTANCE_START_P:
         u = mesh.boundary_node_distances.copy()
         u[mesh.boundary_mask] = 0.0
     else:
@@ -656,19 +661,19 @@ def solve_p_torsion(
         f = float(load @ u)
         with np.errstate(over="ignore"):
             j_cur = _energy(mesh, g, f, p, eps2)
-        remaining = max_iters - iterations
+        remaining = MAX_ITERS - iterations
         cap = remaining if li == last else max(10, remaining // (2 * (last + 1 - li)))
         settled = False  # the level ended on its first step, a full Newton step
         for step in range(cap):
             accepted = None
-            d = newton_direction(gu, eps2) if iterations < max_iters else None
+            d = newton_direction(gu, eps2) if iterations < MAX_ITERS else None
             if d is not None:
                 iterations += 1
                 newton_steps += 1
                 accepted = search(u, gu, d, 1.0, j_cur, eps2, li == last)
             newton = accepted is not None
             if not newton:
-                if iterations >= max_iters:
+                if iterations >= MAX_ITERS:
                     break
                 iterations += 1
                 lagged_steps += 1
@@ -695,7 +700,7 @@ def solve_p_torsion(
             elif rel_dec < TOL_LAGGED or step_rel < 1e-13:
                 settled = newton and lam == 1.0 and step == 0
                 break
-        if li == last or iterations >= max_iters:
+        if li == last or iterations >= MAX_ITERS:
             break
         li = last if settled else li + 1
     # on the optimal ray b.u equals the p-energy, so the reported integral
@@ -712,7 +717,7 @@ def solve_p_torsion(
     )
     if not converged:
         raise ConvergenceError(
-            f"p-torsion solve (p={p}) did not converge within {max_iters} "
+            f"p-torsion solve (p={p}) did not converge within {MAX_ITERS} "
             f"iterations (reached {iterations})",
             solution=sol,
         )
@@ -784,15 +789,14 @@ def rigidity_with_refinement(
     p: float,
     levels: int = 3,
     h0: float | None = None,
-    max_iters: int = MAX_ITERS,
 ) -> RigidityEstimate:
     """Solve on `levels` uniformly refined meshes and extrapolate T_p.
 
-    For p <= 8 each refined level starts from the coarser level's solution,
-    interpolated at edge midpoints (nested iteration), in place of
-    solve_p_torsion's p = 2 start. The base level, and every level for
-    p > 8, where the distance start needs fewer iterations, start from
-    solve_p_torsion's own start. On nested meshes T_p grows with the level.
+    For p <= DISTANCE_START_P each refined level starts from the coarser
+    level's solution, interpolated at edge midpoints (nested iteration), in
+    place of solve_p_torsion's p = 2 start. The base level, and every level
+    for larger p, where the distance start needs fewer iterations, start
+    from solve_p_torsion's own start. On nested meshes T_p grows with the level.
     The error estimate is the difference of the two finest levels; the
     empirical convergence order comes from the last three levels when
     available (clamped to [0.5, 4]).
@@ -809,8 +813,8 @@ def rigidity_with_refinement(
     iterations = 0
     sol = None
     for mesh in _nested_meshes(poly, h0, levels):
-        start = mesh.prolong(sol.u) if sol is not None and p <= 8.0 else None
-        sol = solve_p_torsion(mesh, p, max_iters, start=start)
+        start = mesh.prolong(sol.u) if sol is not None and p <= DISTANCE_START_P else None
+        sol = solve_p_torsion(mesh, p, start=start)
         values.append(sol.t_p)
         h_values.append(mesh.h_max)
         iterations += sol.iterations

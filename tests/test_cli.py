@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ import pytest
 
 import oracles
 import torsionlab
-from torsionlab.cli import main
+from torsionlab import ptorsion
+from torsionlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -97,21 +99,14 @@ def test_shape_budget_exit_2(capsys):
     assert "solver error" in err
 
 
-def test_shape_iteration_cap_exit_2(capsys):
+def test_shape_iteration_cap_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(ptorsion, "MAX_ITERS", 1)
     code, _, err = run_cli(
-        capsys,
-        "shape",
-        "--spec",
-        '{"kind":"rectangle","L":1,"R":0.5}',
-        "--p",
-        "5",
-        "--levels",
-        "2",
-        "--max-iters",
-        "1",
+        capsys, "shape", "--spec", '{"kind":"rectangle","L":1,"R":0.5}', "--p", "5", "--levels", "2"
     )
     assert code == 2
     assert "solver error" in err
+    assert "did not converge within 1 iterations" in err
 
 
 def test_shape_deterministic_bytes(capsys):
@@ -199,14 +194,31 @@ def test_sweep_byte_identical(capsys):
     assert out_a == out_b
 
 
+def test_sweep_every_row_failed_exit_2(capsys, monkeypatch):
+    # a budget no p = 5 solve meets fails every row, which is a solver failure
+    monkeypatch.setattr(ptorsion, "MAX_ITERS", 1)
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "random", "--count", "2", "--p", "5", "--levels", "2"
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == "sweep: every row failed"
+    assert len(lines) == 3
+    for line, shape_id in zip(lines[1:], ("random_0_0", "random_0_1")):
+        assert line.startswith(f"  {shape_id} p=5.0: solver failure:")
+
+
 def test_verify_default_green(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "2", "--levels", "2")
     assert code == 0
     assert "all corridor checks passed" in out
 
 
-def test_verify_corrupted_slack_exit_3(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--p", "2", "--levels", "2", "--slack-factor=-1e9")
+def test_verify_corrupted_slack_exit_3(capsys, monkeypatch):
+    # a negative slack fails every solver-based check, however large its margin
+    monkeypatch.setattr(ptorsion.RigidityEstimate, "slack", property(lambda self: -1e9))
+    code, out, _ = run_cli(capsys, "verify", "--p", "2", "--levels", "2")
     assert code == 3
     assert "FAILED checks" in out
     # the summary names the failing inequality
@@ -214,16 +226,12 @@ def test_verify_corrupted_slack_exit_3(capsys):
 
 
 def test_verify_pairs_table(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--pairs", "--a", "0.4", "--b", "1", "--p", "2", "--levels", "2", "--count", "2"
-    )
+    argv = ["pairs", "--a", "0.4", "--b", "1", "--p", "2", "--levels", "2", "--count", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
-    assert "guaranteed" in out
+    assert out.startswith("pairs a=0.4 b=1 p=2 guaranteed=true\n")
     # the JSON report is written from the PairStudy/PairRow fields: pin the keys
-    code, out, _ = run_cli(
-        capsys, "verify", "--pairs", "--a", "0.4", "--b", "1", "--p", "2", "--levels", "2", "--count", "2",
-        "--format", "json",
-    )
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     data = json.loads(out)
     assert list(data) == [
@@ -244,13 +252,69 @@ def test_cheeger_subcommand(capsys):
     assert data["h"] <= data["perimeter_over_area"] + 1e-12
 
 
-def test_cheeger_rejects_solver_flags(capsys):
-    # cheeger solves nothing, so it takes no refinement or solver flags
-    code, _, err = run_cli(
-        capsys, "cheeger", "--spec", '{"kind":"rectangle","L":1,"R":0.5}', "--levels", "3"
-    )
+SQUARE_SPEC = '{"kind":"rectangle","L":1,"R":0.5}'
+
+UNREAD_FLAGS = [
+    # cheeger solves nothing, so it takes no refinement flags
+    (["cheeger", "--spec", SQUARE_SPEC], ["--levels", "3"]),
+    # the iteration budget is the constant ptorsion.MAX_ITERS
+    (["shape", "--spec", SQUARE_SPEC], ["--max-iters", "5"]),
+    (["limits", "--spec", SQUARE_SPEC], ["--max-iters", "5"]),
+    # verify prints each verdict's own pass flag, as text
+    (["verify"], ["--slack-factor", "2"]),
+    (["verify"], ["--format", "csv"]),
+    # the pair comparison is its own subcommand, at the default mesh size
+    (["verify"], ["--pairs"]),
+    (["pairs"], ["--h0", "0.1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unread", UNREAD_FLAGS, ids=[f"{argv[0]} {unread[0]}" for argv, unread in UNREAD_FLAGS]
+)
+def test_unread_flags_rejected(capsys, argv, unread):
+    code, _, err = run_cli(capsys, *argv, *unread)
     assert code == 1
-    assert "unrecognized arguments: --levels" in err
+    assert f"unrecognized arguments: {' '.join(unread)}" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"kind":"triangle","points":[[0,0]]}',
+        '{"kind":"triangle","points":5}',
+        '{"kind":"random","seed":1.5}',
+        '{"kind":"random","seed":"x"}',
+        '{"kind":"rectangle","L":null,"R":1}',
+        '{"kind":"regular_ngon","n":[3]}',
+    ],
+    ids=["triangle-one-point", "triangle-points-int", "random-seed-float", "random-seed-str",
+         "rectangle-L-null", "ngon-n-list"],
+)
+def test_malformed_spec_input_error(capsys, spec):
+    code, _, err = run_cli(capsys, "cheeger", "--spec", spec)
+    assert code == 1
+    assert err.startswith("input error")
+    assert json.loads(spec)["kind"] in err
+    assert "Traceback" not in err
+
+
+def test_estimate_gamma_takes_one_p(capsys):
+    code, _, err = run_cli(capsys, "estimate-gamma", "--p", "2,7", "--count", "1", "--levels", "2")
+    assert code == 1
+    assert "invalid float value: '2,7'" in err
+
+
+def test_readme_commands_parse():
+    # every torsionlab line of the README's CLI block parses; nothing is solved
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("torsionlab ")]
+    assert len({shlex.split(c)[1] for c in commands}) == 7
+    parser = build_parser()
+    for command in commands:
+        args = parser.parse_args(shlex.split(command)[1:])
+        assert args.func.__name__ == "cmd_" + args.command.replace("-", "_")
 
 
 def test_limits_large_p(capsys):

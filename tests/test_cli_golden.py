@@ -33,7 +33,7 @@ COMMANDS = {
         "--levels", "2", "--format", "json",
     ],
     "verify_pairs": [
-        "verify", "--pairs", "--count", "2", "--p", "3", "--levels", "2", "--format", "json",
+        "pairs", "--count", "2", "--p", "3", "--levels", "2", "--format", "json",
     ],
     "estimate_gamma": ["estimate-gamma", "--count", "2", "--levels", "2"],
     "cheeger_random": ["cheeger", "--spec", '{"kind":"random","seed":[3,4]}'],

@@ -34,13 +34,6 @@ from torsionlab.ptorsion import (
 SQUARE = make_rectangle(1.0, 0.5)
 
 
-def test_solver_options_validation():
-    mesh = triangulate(SQUARE, 0.25)
-    for max_iters in (0, -1):
-        with pytest.raises(ValueError):
-            solve_p_torsion(mesh, 2.0, max_iters=max_iters)
-
-
 def test_triangulate_square_structured():
     mesh = triangulate(SQUARE, 0.25)
     assert mesh.h_max <= 1.5 * 0.25
@@ -427,10 +420,11 @@ def test_refinement_levels_increase_at_large_p():
             assert est.solution.energy_trace
 
 
-def test_convergence_error_carries_solution():
+def test_convergence_error_carries_solution(monkeypatch):
+    monkeypatch.setattr(ptorsion, "MAX_ITERS", 2)
     mesh = triangulate(SQUARE, 0.15)
     with pytest.raises(ConvergenceError) as exc:
-        solve_p_torsion(mesh, 5.0, max_iters=2)
+        solve_p_torsion(mesh, 5.0)
     assert exc.value.solution is not None
     assert exc.value.solution.converged is False
 
@@ -585,7 +579,7 @@ def test_solves_reach_the_previous_loops_minima(monkeypatch):
     # p = 1.05 on the 125-node mesh does not stop on damped steps; and it
     # rejects a step that does not lower the energy, so p = 1.1 on the
     # 128-node mesh does not take damped steps at the floating-point floor,
-    # accepted by rounding alone, until max_iters.
+    # accepted by rounding alone, until MAX_ITERS.
     poly = random_convex_polygon([1001, 0])
     base = triangulate(poly, default_h0(poly))
     poly_stall = random_convex_polygon([208, 2])
