@@ -199,23 +199,21 @@ class Mesh:
         tri, _, _, k = self._band_plan[:4]
         return self._assemble(weights[tri] * k)
 
-    def energy_hessian(self, gu: np.ndarray, p: float, eps2: float):
+    def energy_hessian(self, gu: np.ndarray, g: np.ndarray, p: float, eps2: float):
         """(Hessian, gradient) of (1/p) int (|grad u|^2 + eps2)^(p/2) at the u
-        whose per-triangle gradients are gu, interior-reduced; the gradient
-        is K(w) u for the lagged weights w, formed per triangle. None if the
-        coefficients are not finite (wild iterate): c = (p - 2) w / (g + eps2)
-        is finite only where w is."""
-        g = np.einsum("mj,mj->m", gu, gu)
+        whose per-triangle gradients are gu, with squares g, interior-reduced;
+        the gradient is K(w) u for the lagged weights w, formed per triangle.
+        None if the coefficients are not finite (wild iterate):
+        c = (p - 2) w / (g + eps2) is finite only where w is. An entry that
+        overflows still gets the Newton step rejected."""
         with np.errstate(over="ignore", invalid="ignore"):
             w = (g + eps2) ** ((p - 2.0) / 2.0)
             c = (p - 2.0) * w / (g + eps2)
-        if not np.all(np.isfinite(c)):
-            return None
-        q = np.einsum("mj,mij->mi", gu, self.grads)
-        qf = q.ravel()
-        tri, qi, qj, k = self._band_plan[:4]
-        # an entry that overflows still gets the Newton step rejected
-        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(c).all():
+                return None
+            q = np.einsum("mj,mij->mi", gu, self.grads)
+            qf = q.ravel()
+            tri, qi, qj, k = self._band_plan[:4]
             ca = c * self.areas
             values = w[tri] * k + (ca[tri] * qf[qi]) * qf[qj]
             grad = ((w * self.areas)[:, None] * q).ravel()
@@ -510,24 +508,36 @@ class TorsionSolution:
     backtracks: int = 0
 
 
+# These run several times per line-search trial on arrays of a few hundred
+# entries, where a call's overhead outweighs its arithmetic: they work in
+# place and reduce with ufunc.reduce, not the np.sum and np.max wrappers.
+
+
+def _power_sums(mesh: Mesh, x: np.ndarray, p: float) -> np.ndarray:
+    """sum over triangles of area * max(x, floor)^(p/2), along x's last axis;
+    overwrites x."""
+    np.maximum(x, POWER_FLOOR ** (2.0 / p), out=x)
+    x **= p / 2.0
+    x *= mesh.areas
+    return np.add.reduce(x, axis=-1)
+
+
 def _energy(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float) -> float:
     """Regularized energy of a function with squared gradients g and b.u = f;
     inf if it overflows, which callers allow with np.errstate(over="ignore")."""
-    x = np.maximum(g + eps2, POWER_FLOOR ** (2.0 / p))
-    return float(np.sum(mesh.areas * x ** (p / 2.0))) / p - f
+    return float(_power_sums(mesh, g + eps2, p)) / p - f
 
 
-def _ray_scale(mesh: Mesh, g: np.ndarray, f: float, p: float) -> float:
-    """Scale s = (f / E_p(v))^(1/(p-1)) of the minimizer s v of J over the
-    ray of a v with squared gradients g and b.v = f. 1.0 when there is none
-    to compute: v is zero, f <= 0, or a squared gradient or f is not finite.
-    log s is clamped to [-700, 700], where exp(log s) is finite."""
-    g_top = float(g.max())
-    if not (0.0 < g_top < math.inf and 0.0 < f < math.inf):
-        return 1.0
-    # scale out g_top so the p/2 power cannot overflow
-    x = np.maximum(g / g_top, POWER_FLOOR ** (2.0 / p))
-    e_scaled = float(np.sum(mesh.areas * x ** (p / 2.0)))
+def _has_ray(g_top: float, f: float) -> bool:
+    """Whether the ray of a v with max squared gradient g_top and b.v = f has
+    a minimizer to compute: not if v is zero, f <= 0, or g_top or f is not
+    finite."""
+    return 0.0 < g_top < math.inf and 0.0 < f < math.inf
+
+
+def _scale_of(e_scaled: float, g_top: float, f: float, p: float) -> float:
+    """s = (f / E_p(v))^(1/(p-1)) for E_p(v) = g_top^(p/2) e_scaled, with
+    log s clamped to [-700, 700], where exp(log s) is finite."""
     log_e = 0.5 * p * math.log(g_top) + math.log(e_scaled)
     log_s = (math.log(f) - log_e) / (p - 1.0)
     if abs(log_s) > 700.0:
@@ -535,12 +545,30 @@ def _ray_scale(mesh: Mesh, g: np.ndarray, f: float, p: float) -> float:
     return math.exp(log_s)
 
 
+def _ray_scale(mesh: Mesh, g: np.ndarray, f: float, p: float) -> float:
+    """Scale s of the minimizer s v of J over the ray of a v with squared
+    gradients g and b.v = f; 1.0 when there is none to compute (_has_ray)."""
+    g_top = float(np.maximum.reduce(g))
+    if not _has_ray(g_top, f):
+        return 1.0
+    # scale out g_top so the p/2 power cannot overflow
+    return _scale_of(float(_power_sums(mesh, g / g_top, p)), g_top, f, p)
+
+
 def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
     """(energy at eps2, s) of the lower of u, with squared gradients g and
-    b.u = f, (s = 1) and its ray minimizer s u, which wins ties. Callers
+    b.u = f, (s = 1) and its ray minimizer s u, which wins ties. u's energy
+    and the p-energy that sets s are priced in one stacked pass. Callers
     allow overflow, as for _energy."""
-    j = _energy(mesh, g, f, p, eps2)
-    s = _ray_scale(mesh, g, f, p)
+    g_top = float(np.maximum.reduce(g))
+    if not _has_ray(g_top, f):
+        return _energy(mesh, g, f, p, eps2), 1.0
+    x = np.empty((2, len(g)))
+    np.add(g, eps2, out=x[0])
+    np.divide(g, g_top, out=x[1])
+    e_reg, e_scaled = _power_sums(mesh, x, p)
+    j = float(e_reg) / p - f
+    s = _scale_of(float(e_scaled), g_top, f, p)
     if s != 1.0:
         j_s = _energy(mesh, g * s * s, s * f, p, eps2)
         if j_s <= j:
@@ -632,10 +660,10 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
         w_log = (0.5 * (p - 2.0)) * np.log(g + eps2)
         return linear_solve(np.exp(np.maximum(w_log - w_log.max(), LOG_WEIGHT_FLOOR)))
 
-    def newton_direction(gu, eps2):
+    def newton_direction(gu, g, eps2):
         # Newton direction of the regularized energy, or None if the Hessian
         # is not finite or not positive definite, or the direction is not finite
-        hess_grad = mesh.energy_hessian(gu, p, eps2)
+        hess_grad = mesh.energy_hessian(gu, g, p, eps2)
         if hess_grad is None:
             return None
         try:
@@ -666,7 +694,7 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
         settled = False  # the level ended on its first step, a full Newton step
         for step in range(cap):
             accepted = None
-            d = newton_direction(gu, eps2) if iterations < MAX_ITERS else None
+            d = newton_direction(gu, g, eps2) if iterations < MAX_ITERS else None
             if d is not None:
                 iterations += 1
                 newton_steps += 1
@@ -684,7 +712,10 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
                 break
             u_new, lam = accepted
             lam_mem = lam_mem if newton else lam
-            step_rel = float(np.max(np.abs(u_new - u))) / max(float(np.max(np.abs(u_new))), 1e-300)
+            if li != last:  # the last level does not read the step size
+                step_rel = float(np.maximum.reduce(np.abs(u_new - u))) / max(
+                    float(np.maximum.reduce(np.abs(u_new))), 1e-300
+                )
             u = u_new
             gu = mesh.gradient_field(u)
             g = np.einsum("mj,mj->m", gu, gu)

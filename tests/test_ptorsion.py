@@ -181,7 +181,7 @@ def test_band_assembly_matches_dense_reference():
                     k_w = w[:, None, None] * mesh.k_local
                     k_c = (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
                     label = (poly, lvl, p, eps_rel)
-                    hess, grad = mesh.energy_hessian(gu, p, eps2)
+                    hess, grad = mesh.energy_hessian(gu, g, p, eps2)
                     _assert_matches_reference(
                         hess, k_w + k_c, mesh, label, np.abs(k_w) + np.abs(k_c)
                     )
@@ -235,7 +235,7 @@ def test_band_entries_match_block_assembly_bitwise():
                     c = (p - 2.0) * w / (g + eps2)
                     blocks = w[:, None, None] * mesh.k_local
                     blocks += (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
-                    hess, _ = mesh.energy_hessian(gu, p, eps2)
+                    hess, _ = mesh.energy_hessian(gu, g, p, eps2)
                     assert hess.ab.tobytes() == _block_band(mesh, blocks).tobytes(), (p, eps_rel)
 
 
@@ -287,8 +287,8 @@ def test_rejected_newton_solve_falls_back_to_lagged_steps(monkeypatch):
     ref = solve_p_torsion(mesh, 3.0)
     hessian = Mesh.energy_hessian
 
-    def indefinite_hessian(self, gu, p, eps2):
-        hess, grad = hessian(self, gu, p, eps2)
+    def indefinite_hessian(self, gu, g, p, eps2):
+        hess, grad = hessian(self, gu, g, p, eps2)
         hess.ab[0] *= -1.0  # negative diagonal: LAPACK rejects every Newton system
         return hess, grad
 
@@ -336,6 +336,65 @@ def test_ray_rescaling_branches():
     e = np.sum(big.areas * big.gradient_squares(d_big) ** 0.5005)
     assert math.log(f / e) / 0.001 > 700.0
     assert ray_scale(big, d_big, 1.001) == math.exp(700.0)
+
+
+def _energy_composed(mesh, g, f, p, eps2):
+    x = np.maximum(g + eps2, ptorsion.POWER_FLOOR ** (2.0 / p))
+    return float(np.sum(mesh.areas * x ** (p / 2.0))) / p - f
+
+
+def _ray_scale_composed(mesh, g, f, p):
+    g_top = float(g.max())
+    if not (0.0 < g_top < math.inf and 0.0 < f < math.inf):
+        return 1.0
+    x = np.maximum(g / g_top, ptorsion.POWER_FLOOR ** (2.0 / p))
+    e_scaled = float(np.sum(mesh.areas * x ** (p / 2.0)))
+    log_e = 0.5 * p * math.log(g_top) + math.log(e_scaled)
+    log_s = (math.log(f) - log_e) / (p - 1.0)
+    if abs(log_s) > 700.0:
+        log_s = math.copysign(700.0, log_s)
+    return math.exp(log_s)
+
+
+def _ray_priced_composed(mesh, g, f, p, eps2):
+    """A trial's price as two energies and a ray scale, each its own pass."""
+    j = _energy_composed(mesh, g, f, p, eps2)
+    s = _ray_scale_composed(mesh, g, f, p)
+    if s != 1.0:
+        j_s = _energy_composed(mesh, g * s * s, s * f, p, eps2)
+        if j_s <= j:
+            return j_s, s
+    return j, 1.0
+
+
+def test_fused_ray_pricing_matches_the_composition_bitwise():
+    # the one stacked pass sums each row in the order a lone 1-D sum does,
+    # also past numpy's 8192-element buffer (25600 triangles here)
+    rng = np.random.default_rng(15)
+    coarse = triangulate(SQUARE, 0.1)
+    meshes = [coarse, triangulate(random_convex_polygon([0, 1]), 0.1), refine(refine(refine(coarse)))]
+    for mesh in meshes:
+        m = mesh.n_triangles
+        inf_entry = rng.random(m)
+        inf_entry[m // 2] = math.inf
+        gs = [np.exp(4.0 * rng.standard_normal(m)), rng.random(m) * 1e-3, np.zeros(m), inf_entry]
+        for p in (1.05, 1.5, 3.0, 32.0):
+            for g in gs:
+                e_p = float(np.sum(mesh.areas * g ** (p / 2.0))) if np.all(np.isfinite(g)) else 1.0
+                # f <= 0 and f of either sign of log s past the +-700 clamp
+                for f in (0.3 * e_p, e_p, 0.0, -1.0, 1e-40 * e_p, 1e40 * e_p):
+                    for eps2 in (0.0, 1e-20, 1e-4 * float(g.max())):
+                        label = (mesh.n_triangles, p, f, eps2)
+                        with np.errstate(over="ignore"):
+                            fused = ptorsion._ray_priced(mesh, g, f, p, eps2)
+                            composed = _ray_priced_composed(mesh, g, f, p, eps2)
+                        assert np.array(fused).tobytes() == np.array(composed).tobytes(), label
+    # the clamps were reached
+    mesh = meshes[0]
+    g = mesh.gradient_squares(mesh.boundary_node_distances)
+    e_p = float(np.sum(mesh.areas * g ** 0.525))
+    assert _ray_scale_composed(mesh, g, 1e-40 * e_p, 1.05) == math.exp(-700.0)
+    assert _ray_scale_composed(mesh, g, 1e40 * e_p, 1.05) == math.exp(700.0)
 
 
 def test_p2_square_matches_series_oracle():
@@ -540,30 +599,30 @@ def test_search_trials_gather_no_nodal_values(monkeypatch):
     # the start, each search direction and each accepted point, and never
     # twice in a row for the same vector
     gradient_field = Mesh.gradient_field
-    ray_scale = ptorsion._ray_scale
-    inputs, scales = [], []
+    ray_priced = ptorsion._ray_priced
+    inputs, priced = [], []
 
     def recording(self, u):
         inputs.append(u.tobytes())
         return gradient_field(self, u)
 
     def counting(*args):
-        scales.append(args)
-        return ray_scale(*args)
+        priced.append(args)
+        return ray_priced(*args)
 
     monkeypatch.setattr(Mesh, "gradient_field", recording)
-    monkeypatch.setattr(ptorsion, "_ray_scale", counting)
+    monkeypatch.setattr(ptorsion, "_ray_priced", counting)
     mesh = triangulate(SQUARE, 0.1)
     for p in (1.05, 3.0, 32.0):
         inputs.clear()
-        scales.clear()
+        priced.clear()
         sol = solve_p_torsion(mesh, p)
         assert sol.converged
         searches = sol.newton_steps + sol.lagged_steps
         assert len(inputs) == 1 + searches + len(sol.energy_trace), p
         assert all(a != b for a, b in zip(inputs, inputs[1:])), p
-        # every trial prices one ray scale, as do the start and the end
-        trials = len(scales) - 2
+        # every trial is priced once against its ray, as is the end
+        trials = len(priced) - 1
         assert trials >= searches, p
         assert sol.backtracks == trials - len(sol.energy_trace), p
         if p == 1.05:
@@ -605,7 +664,7 @@ def test_solves_reach_the_previous_loops_minima(monkeypatch):
         assert np.isclose(sol.energy, energy(mesh, sol.u, p), rtol=1e-12, atol=0), p
         assert np.isclose(sol.t_p, t_ref, rtol=1e-8, atol=0), (mesh.n_nodes, p)
     # with every Newton step rejected, p = 3 takes lagged steps only
-    monkeypatch.setattr(Mesh, "energy_hessian", lambda self, gu, p, eps2: None)
+    monkeypatch.setattr(Mesh, "energy_hessian", lambda self, gu, g, p, eps2: None)
     for mesh, p, t_ref in cases:
         if p == 3.0:
             sol = solve_p_torsion(mesh, p)
