@@ -480,20 +480,22 @@ LOG_WEIGHT_FLOOR = math.log(1e-10)
 POWER_FLOOR = 1e-300
 # Iteration budget of one solve, over all eps levels.
 MAX_ITERS = 500
-# Above this p every solve starts from the distance to the boundary; at or
-# below it from the p = 2 solution, and a refined level of a refinement study
-# from the prolonged coarse solution. Prolonged starts took more iterations
-# above it over three levels of random polygons (539 -> 651 at p = 10,
-# 753 -> 1020 at p = 32) and fewer at p = 8 (892 -> 723).
-DISTANCE_START_P = 8.0
+# At or below this p, a refined level of a refinement study starts from the
+# prolonged coarse solution (nested iteration); above it, from
+# solve_p_torsion's own start. Against the distance start, prolonged starts
+# took more iterations above it over three levels of random polygons
+# (539 -> 651 at p = 10, 753 -> 1020 at p = 32).
+NESTED_START_P_MAX = 8.0
 
 
 @dataclass
 class TorsionSolution:
     """Discrete p-torsion function and its integral on one mesh. iterations
-    is newton_steps + lagged_steps, the steps tried, plus the start's linear
-    solve where there is one (a given start or the distance start costs
-    none). backtracks counts the line-search trials rejected."""
+    is newton_steps + lagged_steps, the steps tried, plus 1 for the linear
+    solve of the p = 2 start, which only a solve at p < 2 without a given
+    start makes (a given start or the distance start costs none). At p = 2
+    it is 1, the linear solve. backtracks counts the line-search trials
+    rejected."""
 
     mesh: Mesh
     p: float
@@ -582,8 +584,8 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
 
     It starts from `start` (nodal values; boundary values are taken as 0)
     when one is given, which costs no linear solve; else from the distance
-    to the boundary for p > DISTANCE_START_P (close to the large-p
-    minimizer), else from the p = 2 solution. Any start is first moved to
+    to the boundary for p > 2 (the limit of the minimizers as p grows),
+    else from the p = 2 solution. Any start is first moved to
     its best ray. At p = 2 the solve is one linear solve and `start` is not
     used. At each level of EPS_LEVELS, eps = eps_rel * max |grad u| for the
     current iterate. Each step tries the Newton direction of the regularized
@@ -627,7 +629,7 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
     if start is not None:
         u = np.array(start, dtype=float)
         u[mesh.boundary_mask] = 0.0
-    elif p > DISTANCE_START_P:
+    elif p > 2.0:
         u = mesh.boundary_node_distances.copy()
         u[mesh.boundary_mask] = 0.0
     else:
@@ -823,11 +825,12 @@ def rigidity_with_refinement(
 ) -> RigidityEstimate:
     """Solve on `levels` uniformly refined meshes and extrapolate T_p.
 
-    For p <= DISTANCE_START_P each refined level starts from the coarser
-    level's solution, interpolated at edge midpoints (nested iteration), in
-    place of solve_p_torsion's p = 2 start. The base level, and every level
-    for larger p, where the distance start needs fewer iterations, start
-    from solve_p_torsion's own start. On nested meshes T_p grows with the level.
+    For p <= NESTED_START_P_MAX each refined level starts from the coarser
+    level's solution, interpolated at edge midpoints (nested iteration). The
+    base level, and every level for larger p, where the distance start needs
+    fewer iterations, take solve_p_torsion's own start: the distance to the
+    boundary for p > 2, the p = 2 solution for p < 2. On nested meshes T_p
+    grows with the level.
     The error estimate is the difference of the two finest levels; the
     empirical convergence order comes from the last three levels when
     available (clamped to [0.5, 4]).
@@ -844,7 +847,7 @@ def rigidity_with_refinement(
     iterations = 0
     sol = None
     for mesh in _nested_meshes(poly, h0, levels):
-        start = mesh.prolong(sol.u) if sol is not None and p <= DISTANCE_START_P else None
+        start = mesh.prolong(sol.u) if sol is not None and p <= NESTED_START_P_MAX else None
         sol = solve_p_torsion(mesh, p, start=start)
         values.append(sol.t_p)
         h_values.append(mesh.h_max)

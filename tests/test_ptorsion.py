@@ -704,8 +704,29 @@ def test_nested_levels_match_cold_solves():
                 assert abs(t_p - cold) <= 1e-8 * cold, (p, mesh.n_nodes, t_p, cold)
 
 
+def test_cold_solves_above_p2_start_from_the_boundary_distance():
+    # the minimizers tend to the distance to the boundary as p grows; from
+    # that start a cold solve reaches the p = 2 start's T_p up to rounding
+    shapes = [SQUARE, make_regular_ngon(64, 1.0), make_ellipse_polygon(4.0, 1.0, 128)]
+    shapes += [random_convex_polygon([0, i]) for i in range(4)]
+    for poly in shapes:
+        mesh = triangulate(poly, default_h0(poly))
+        u2 = solve_p_torsion(mesh, 2.0).u
+        for p in (2.5, 3.0, 5.0, 8.0):
+            cold = solve_p_torsion(mesh, p)
+            warm = solve_p_torsion(mesh, p, start=mesh.boundary_node_distances)
+            assert cold.u.tobytes() == warm.u.tobytes(), (poly, p)
+            assert cold.iterations == warm.iterations == cold.newton_steps + cold.lagged_steps
+            from_p2 = solve_p_torsion(mesh, p, start=u2).t_p
+            assert abs(cold.t_p - from_p2) <= 1e-10 * from_p2, (poly, p, cold.t_p, from_p2)
+    # below p = 2 a cold solve still starts from the p = 2 solution
+    cold = solve_p_torsion(mesh, 1.5)
+    warm = solve_p_torsion(mesh, 1.5, start=u2)
+    assert cold.u.tobytes() == warm.u.tobytes() and cold.iterations == warm.iterations + 1
+
+
 def test_large_p_levels_are_cold_solves():
-    # above p = 8 every level keeps the distance start
+    # above p = 8 every level takes the distance start
     poly = random_convex_polygon([41, 2])
     meshes = ptorsion._nested_meshes(poly, default_h0(poly), 3)
     for p in (10.0, 32.0):
