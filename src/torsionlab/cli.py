@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .cheeger import cheeger_constant, p_to_one_trend
 from .errors import (
@@ -23,6 +23,7 @@ from .families import (
     FAMILIES,
     NORMALIZATIONS,
     FamilySweepConfig,
+    PairRow,
     compare_pairs,
     estimate_gamma,
     make_equilateral,
@@ -55,9 +56,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise InvalidDomainError(f"expected comma-separated numbers, got {text!r}")
+    if not values:
+        raise InvalidDomainError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _load_spec(text: str):
@@ -218,6 +222,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 
+PAIR_COLUMNS = [f.name for f in fields(PairRow)]
+
+
 def cmd_pairs(args) -> int:
     study = compare_pairs(
         args.a, args.b, args.p, n_pairs=args.count, seed=args.seed, levels=args.levels
@@ -225,17 +232,7 @@ def cmd_pairs(args) -> int:
     if args.format == "json":
         _emit(dumps_9g(asdict(study)) + "\n", args.out)
     else:
-        lines = [
-            f"pairs a={format_value(args.a)} b={format_value(args.b)} "
-            f"p={format_value(args.p)} guaranteed={str(study.guaranteed).lower()}"
-        ]
-        for r in study.rows:
-            lines.append(
-                f"  pair {r.index:3d}: T_a={format_value(r.t_norm_a):>12s} "
-                f"T_b={format_value(r.t_norm_b):>12s} "
-                f"margin={format_value(r.margin):>12s} {r.status}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv_text([asdict(r) for r in study.rows], PAIR_COLUMNS), args.out)
     if study.guaranteed and not study.all_hold:
         return EXIT_VERDICT
     return EXIT_OK

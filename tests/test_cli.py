@@ -229,7 +229,9 @@ def test_verify_pairs_table(capsys):
     argv = ["pairs", "--a", "0.4", "--b", "1", "--p", "2", "--levels", "2", "--count", "2"]
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
-    assert out.startswith("pairs a=0.4 b=1 p=2 guaranteed=true\n")
+    lines = out.splitlines()
+    assert lines[0] == "index,t_norm_a,t_norm_b,margin,slack,status"
+    assert len(lines) == 1 + 2
     # the JSON report is written from the PairStudy/PairRow fields: pin the keys
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -297,6 +299,23 @@ def test_malformed_spec_input_error(capsys, spec):
     assert err.startswith("input error")
     assert json.loads(spec)["kind"] in err
     assert "Traceback" not in err
+
+
+EMPTY_LISTS = [
+    ["verify", "--p", ","],
+    ["sweep", "--family", "random", "--count", "1", "--p", ","],
+    ["limits", "--spec", SQUARE_SPEC, "--p-small", ","],
+    ["sweep", "--family", "rectangles", "--kappa", ","],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_LISTS, ids=[" ".join(a[-2:]) for a in EMPTY_LISTS])
+def test_empty_number_list_input_error(capsys, argv):
+    # an empty list would check nothing and report success
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"{argv[-2]}: invalid" in err
 
 
 def test_estimate_gamma_takes_one_p(capsys):
