@@ -50,11 +50,21 @@ def cheeger_constant(poly: ConvexPolygon) -> CheegerResult:
 
 
 @dataclass
-class SmallPTrend:
-    """Normalized rigidity against the Cheeger constant for p near 1."""
+class SmallPRow:
+    p: float
+    T_norm: float
+    deviation_from_h: float  # |T_norm - h|
 
-    rows: list  # (p, T_norm, |T_norm - h|)
-    cheeger: CheegerResult
+
+@dataclass
+class SmallPTrend:
+    """Normalized rigidity against the Cheeger constant for p near 1.
+
+    The field names, in order, are the keys of the JSON report.
+    """
+
+    rows: list  # of SmallPRow
+    cheeger_h: float
     q1: float  # inradius x h
 
 
@@ -76,10 +86,10 @@ def p_to_one_trend(
         raise ValueError("small-p trend supports p >= 1.05")
     if any(b >= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p_list must be strictly decreasing")
-    result = cheeger_constant(poly)
+    h = cheeger_constant(poly).h
     rows = []
     for p in ps:
         est = rigidity_with_refinement(poly, p, levels=levels, h0=h0)
         t_norm = normalized_rigidity(est.t_p, poly.area, p)
-        rows.append((p, t_norm, abs(t_norm - result.h)))
-    return SmallPTrend(rows=rows, cheeger=result, q1=poly.inradius * result.h)
+        rows.append(SmallPRow(p, t_norm, abs(t_norm - h)))
+    return SmallPTrend(rows=rows, cheeger_h=h, q1=poly.inradius * h)

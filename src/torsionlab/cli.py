@@ -58,9 +58,13 @@ def _parse_floats(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise InvalidDomainError(f"expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"invalid number list {text!r}: expected comma-separated numbers"
+        )
     if not values:
-        raise InvalidDomainError(f"expected at least one number, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"invalid number list {text!r}: expected at least one number"
+        )
     return values
 
 
@@ -107,7 +111,7 @@ def cmd_shape(args) -> int:
     if args.format == "csv":
         _emit(_csv_text(report_csv_rows(report), CSV_COLUMNS), args.out)
         return EXIT_OK
-    doc = report.to_json_dict()
+    doc = {"schema_version": SCHEMA_VERSION, **asdict(report)}
     if args.dump_mesh:
         mesh = triangulate(poly, args.h0 if args.h0 else default_h0(poly))
         doc["mesh"] = mesh.to_json_dict()
@@ -141,13 +145,7 @@ def cmd_sweep(args) -> int:
         if not args.kappa:
             raise InvalidDomainError(f"--kappa is required for family {args.family}")
         kwargs["kappas"] = tuple(args.kappa)
-    elif args.family == "triangles":
-        kwargs["triangles"] = (
-            ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8660254037844386)),
-            ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
-            ((0.0, 0.0), (2.0, 0.0), (0.5, 0.75)),
-        )
-    else:
+    elif args.family == "random":
         kwargs["count"] = args.count
     config = FamilySweepConfig(**kwargs)
     rows = sweep(config)
@@ -159,15 +157,7 @@ def cmd_sweep(args) -> int:
         return EXIT_SOLVER
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "family": args.family,
-        "p_grid": list(args.p),
-        "levels": args.levels,
-        "seed": args.seed,
-        "kappas": list(kwargs.get("kappas", ())),
-        "count": kwargs.get("count", 0),
-        "normalization": args.normalization,
-        "target": args.target,
-        "h0": args.h0,
+        **asdict(config),
         "rows": len(rows),
         "failed_rows": len(failed),
     }
@@ -203,7 +193,7 @@ def cmd_verify(args) -> int:
         report = build_shape_report(
             poly, args.p, levels=args.levels, h0=args.h0, shape_id=shape_id
         )
-        for entry in report.entries:
+        for entry in report.rigidity:
             for v in entry.verdicts:
                 all_ok &= v.passed
                 if not v.passed:
@@ -259,23 +249,17 @@ def cmd_limits(args) -> int:
     rows_csv: list[dict] = []
     if args.direction in ("small-p", "both"):
         small = p_to_one_trend(poly, args.p_small, levels=args.levels, h0=args.h0)
-        doc["small_p"] = {
-            "rows": [
-                {"p": p, "T_norm": t, "deviation_from_h": d} for p, t, d in small.rows
-            ],
-            "cheeger_h": small.cheeger.h,
-            "q1": small.q1,
-        }
+        doc["small_p"] = asdict(small)
         rows_csv += [
-            {"direction": "small-p", "p": p, "value": t, "deviation": d}
-            for p, t, d in small.rows
+            dict(direction="small-p", p=r.p, value=r.T_norm, deviation=r.deviation_from_h)
+            for r in small.rows
         ]
     if args.direction in ("large-p", "both"):
         large = p_to_infinity_trend(poly, args.p_large, levels=args.levels, h0=args.h0)
-        doc["large_p"] = large.to_json_dict()
+        doc["large_p"] = asdict(large)
         rows_csv += [
-            {"direction": "large-p", "p": p, "value": v, "deviation": d}
-            for p, v, d in large.rows
+            dict(direction="large-p", p=r.p, value=r.t_norm_root_times_delta, deviation=r.deviation)
+            for r in large.rows
         ]
     if args.format == "csv":
         _emit(_csv_text(rows_csv, ["direction", "p", "value", "deviation"]), args.out)

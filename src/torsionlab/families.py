@@ -38,6 +38,13 @@ NORMALIZATIONS = ("none", "by_inradius", "by_avg_distance")
 ELLIPSE_VERTICES = 128
 DISK_VERTICES = 64
 
+# the triangle family: equilateral, right isosceles and an obtuse one
+TRIANGLES = (
+    ((0.0, 0.0), (1.0, 0.0), (0.5, 0.8660254037844386)),
+    ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+    ((0.0, 0.0), (2.0, 0.0), (0.5, 0.75)),
+)
+
 
 def make_equilateral(side: float = 1.0) -> ConvexPolygon:
     h = side * math.sqrt(3.0) / 2.0
@@ -59,18 +66,20 @@ def normalize_polygon(poly: ConvexPolygon, mode: str, target: float) -> ConvexPo
 
 @dataclass(frozen=True)
 class FamilySweepConfig:
-    """One family sweep: members, exponent grid, resolution, normalization."""
+    """One family sweep: members, exponent grid, resolution, normalization.
+
+    The field names, in order, are the keys of the sweep manifest.
+    """
 
     family: str
-    kappas: tuple = ()
-    triangles: tuple = ()
-    count: int = 0
-    seed: int = 0
     p_grid: tuple = (2.0,)
     levels: int = 3
-    h0: float | None = None
+    seed: int = 0
+    kappas: tuple = ()
+    count: int = 0
     normalization: str = "none"
     target: float = 1.0
+    h0: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -83,8 +92,6 @@ class FamilySweepConfig:
         if self.family == "ellipses":
             if not self.kappas or any(k < 1.0 for k in self.kappas):
                 raise ValueError("ellipse sweeps need aspect ratios kappa >= 1")
-        if self.family == "triangles" and not self.triangles:
-            raise ValueError("triangle sweeps need vertex triples")
         if self.family == "random" and self.count <= 0:
             raise ValueError("random sweeps need a positive count")
         for p in self.p_grid:
@@ -105,7 +112,7 @@ def _family_members(config: FamilySweepConfig):
                 make_ellipse_polygon(float(k), 1.0, ELLIPSE_VERTICES),
             )
     elif config.family == "triangles":
-        for i, verts in enumerate(config.triangles):
+        for i, verts in enumerate(TRIANGLES):
             yield f"triangle_{i}", None, make_triangle(*verts)
     else:
         for i in range(config.count):
@@ -149,7 +156,7 @@ def sweep(config: FamilySweepConfig) -> list[dict]:
             shape_id=shape_id,
             capture_errors=True,
         )
-        for entry, row in zip(report.entries, report_csv_rows(report)):
+        for entry, row in zip(report.rigidity, report_csv_rows(report)):
             row.update(_reference_columns(config, kappa, poly, entry.p))
             row["status"] = entry.status
             rows.append(row)
@@ -160,24 +167,23 @@ def sweep(config: FamilySweepConfig) -> list[dict]:
 
 
 @dataclass
-class InfinityTrend:
-    """T(p)^{1/p} * delta per p, with the distance-ratio functional."""
+class LargePRow:
+    p: float
+    t_norm_root_times_delta: float
+    deviation: float  # |t_norm_root_times_delta - 1|
 
-    rows: list  # (p, value, deviation)
+
+@dataclass
+class InfinityTrend:
+    """T(p)^{1/p} * delta per p, with the distance-ratio functional.
+
+    The field names, in order, are the keys of the JSON report.
+    """
+
+    rows: list  # of LargePRow
     q_inf: float  # inradius / avg boundary distance
     q_inf_window: tuple
     in_window: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [
-                {"p": p, "t_norm_root_times_delta": v, "deviation": d}
-                for p, v, d in self.rows
-            ],
-            "q_inf": self.q_inf,
-            "q_inf_window": list(self.q_inf_window),
-            "in_window": self.in_window,
-        }
 
 
 def p_to_infinity_trend(
@@ -202,7 +208,7 @@ def p_to_infinity_trend(
         est = rigidity_with_refinement(poly, p, levels=levels, h0=h0)
         t_norm = normalized_rigidity(est.t_p, area, p)
         value = math.exp(math.log(t_norm) / p) * delta
-        rows.append((p, value, abs(value - 1.0)))
+        rows.append(LargePRow(p, value, abs(value - 1.0)))
     q_inf = poly.inradius / delta
     lo, hi = 2.0, 3.0
     return InfinityTrend(

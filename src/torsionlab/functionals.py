@@ -9,7 +9,7 @@ report (JSON and flat CSV with 9-significant-digit floats).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,86 +167,73 @@ def saint_venant_gap(area: float, p: float, t_p_value: float) -> float:
 
 @dataclass
 class RigidityEntry:
-    """Solver-derived quantities for one exponent p."""
+    """Solver-derived quantities for one exponent p.
+
+    The field names, in order, are the keys of a `rigidity` item in the
+    JSON report.
+    """
 
     p: float
-    t_p: float | None = None
-    t_norm: float | None = None
+    status: str = "ok"
+    converged: bool = False
+    T_p: float | None = None
+    T_norm: float | None = None
     lambda_p1: float | None = None
-    q_p: float | None = None
-    qbar_p: float | None = None
+    Q_p: float | None = None
+    Qbar_p: float | None = None
     error_estimate: float | None = None
     observed_order: float | None = None
     slack: float | None = None
     iterations: int = 0
-    converged: bool = False
-    sv_gap: float | None = None
+    saint_venant_gap: float | None = None
     verdicts: list = field(default_factory=list)
-    status: str = "ok"
 
 
 @dataclass
-class ShapeReport:
-    """Geometry, rigidity and limit functionals for one convex polygon."""
+class Geometry:
+    """Exact geometry of one polygon, the report's `geometry` block."""
 
-    shape_id: str
     n_vertices: int
     area: float
     perimeter: float
     inradius: float
     incenter: tuple
     diameter: float
-    delta: float
+    avg_boundary_distance: float
+
+
+@dataclass
+class Limits:
+    """The report's `limits` block; the Cheeger fields stay None unless
+    requested."""
+
     q_inf: float  # inradius / delta, in [2, 3] for planar convex bodies
-    entries: list = field(default_factory=list)
-    h: float | None = None
-    r_star: float | None = None
+    cheeger_h: float | None = None
+    cheeger_r_star: float | None = None
     cheeger_residual: float | None = None
     q1: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "shape_id": self.shape_id,
-            "geometry": {
-                "n_vertices": self.n_vertices,
-                "area": self.area,
-                "perimeter": self.perimeter,
-                "inradius": self.inradius,
-                "incenter": list(self.incenter),
-                "diameter": self.diameter,
-                "avg_boundary_distance": self.delta,
-            },
-            "limits": {
-                "q_inf": self.q_inf,
-                "cheeger_h": self.h,
-                "cheeger_r_star": self.r_star,
-                "cheeger_residual": self.cheeger_residual,
-                "q1": self.q1,
-            },
-            "rigidity": [
-                {
-                    "p": e.p,
-                    "status": e.status,
-                    "converged": e.converged,
-                    "T_p": e.t_p,
-                    "T_norm": e.t_norm,
-                    "lambda_p1": e.lambda_p1,
-                    "Q_p": e.q_p,
-                    "Qbar_p": e.qbar_p,
-                    "error_estimate": e.error_estimate,
-                    "observed_order": e.observed_order,
-                    "slack": e.slack,
-                    "iterations": e.iterations,
-                    "saint_venant_gap": e.sv_gap,
-                    "verdicts": [asdict(v) for v in e.verdicts],
-                }
-                for e in self.entries
-            ],
-        }
+
+@dataclass
+class ShapeReport:
+    """Geometry, rigidity and limit functionals for one convex polygon.
+
+    The field names, in order, are the keys of the JSON report.
+    """
+
+    shape_id: str
+    geometry: Geometry
+    limits: Limits
+    rigidity: list = field(default_factory=list)
+
+    @property
+    def entries(self) -> list:
+        """The rigidity entries; perfbench counts failed verdicts through
+        this name."""
+        return self.rigidity
 
     def all_passed(self) -> bool:
-        return all(v.passed for e in self.entries for v in e.verdicts)
+        return all(v.passed for e in self.rigidity for v in e.verdicts)
 
 
 CSV_COLUMNS = [
@@ -269,23 +256,24 @@ CSV_COLUMNS = [
 
 def report_csv_rows(report: ShapeReport) -> list[dict]:
     """Flatten a report to one CSV row dict per exponent p."""
+    g, lim = report.geometry, report.limits
     rows = []
-    for e in report.entries:
+    for e in report.rigidity:
         row = {
             "shape_id": report.shape_id,
             "p": e.p,
-            "area": report.area,
-            "perimeter": report.perimeter,
-            "inradius": report.inradius,
-            "delta": report.delta,
-            "T_p": e.t_p,
-            "T_norm": e.t_norm,
+            "area": g.area,
+            "perimeter": g.perimeter,
+            "inradius": g.inradius,
+            "delta": g.avg_boundary_distance,
+            "T_p": e.T_p,
+            "T_norm": e.T_norm,
             "lambda_p1": e.lambda_p1,
-            "Q_p": e.q_p,
-            "Qbar_p": e.qbar_p,
-            "h": report.h,
-            "Q1": report.q1,
-            "Qinf": report.q_inf,
+            "Q_p": e.Q_p,
+            "Qbar_p": e.Qbar_p,
+            "h": lim.cheeger_h,
+            "Q1": lim.q1,
+            "Qinf": lim.q_inf,
         }
         present = {v.name: v for v in e.verdicts}
         for name in VERDICT_ORDER:
@@ -313,17 +301,16 @@ def build_shape_report(
     """
     delta = average_distance(poly)
     r_in = poly.inradius
-    report = ShapeReport(
-        shape_id=shape_id,
+    geometry = Geometry(
         n_vertices=len(poly.vertices),
         area=poly.area,
         perimeter=poly.perimeter,
         inradius=r_in,
         incenter=tuple(float(c) for c in poly.incenter),
         diameter=poly.diameter,
-        delta=delta,
-        q_inf=r_in / delta,
+        avg_boundary_distance=delta,
     )
+    report = ShapeReport(shape_id, geometry, Limits(q_inf=r_in / delta))
     for p in p_values:
         p = float(p)
         try:
@@ -331,32 +318,27 @@ def build_shape_report(
         except ConvergenceError as exc:
             if not capture_errors:
                 raise
-            report.entries.append(
-                RigidityEntry(p=p, status=f"solver failure: {exc}", converged=False)
-            )
+            report.rigidity.append(RigidityEntry(p=p, status=f"solver failure: {exc}"))
             continue
-        report.entries.append(_entry_from_estimate(report, p, est))
+        report.rigidity.append(_entry_from_estimate(geometry, p, est))
     if with_cheeger:
         from .cheeger import cheeger_constant
 
         res = cheeger_constant(poly)
-        report.h = res.h
-        report.r_star = res.r_star
-        report.cheeger_residual = res.residual
-        report.q1 = r_in * res.h
+        report.limits = Limits(report.limits.q_inf, res.h, res.r_star, res.residual, r_in * res.h)
     return report
 
 
-def _entry_from_estimate(report: ShapeReport, p: float, est: RigidityEstimate) -> RigidityEntry:
-    t_norm = normalized_rigidity(est.t_p, report.area, p)
-    sv = saint_venant_gap(report.area, p, est.t_p)
-    sv_ref = ball_torsion_integral(p, math.sqrt(report.area / math.pi))
+def _entry_from_estimate(g: Geometry, p: float, est: RigidityEstimate) -> RigidityEntry:
+    t_norm = normalized_rigidity(est.t_p, g.area, p)
+    sv = saint_venant_gap(g.area, p, est.t_p)
+    sv_ref = ball_torsion_integral(p, math.sqrt(g.area / math.pi))
     verdicts = corridor_verdicts(
         p,
-        report.area,
-        report.perimeter,
-        report.inradius,
-        report.delta,
+        g.area,
+        g.perimeter,
+        g.inradius,
+        g.avg_boundary_distance,
         t_norm,
         slack=est.slack,
         sv_gap=sv,
@@ -364,17 +346,17 @@ def _entry_from_estimate(report: ShapeReport, p: float, est: RigidityEstimate) -
     )
     return RigidityEntry(
         p=p,
-        t_p=est.t_p,
-        t_norm=t_norm,
+        converged=est.solution.converged,
+        T_p=est.t_p,
+        T_norm=t_norm,
         lambda_p1=lambda_p1(est.t_p, p),
-        q_p=q_functional(t_norm, report.inradius, p),
-        qbar_p=q_functional(t_norm, report.delta, p),
+        Q_p=q_functional(t_norm, g.inradius, p),
+        Qbar_p=q_functional(t_norm, g.avg_boundary_distance, p),
         error_estimate=est.error_estimate,
         observed_order=est.observed_order,
         slack=est.slack,
         iterations=est.iterations,
-        converged=est.solution.converged,
-        sv_gap=sv,
+        saint_venant_gap=sv,
         verdicts=verdicts,
     )
 

@@ -122,7 +122,7 @@ def test_criterion_05_corridor_suite():
     reports, elapsed = corridor_suite()
     failures = []
     for report in reports:
-        for entry in report.entries:
+        for entry in report.rigidity:
             if not entry.converged:
                 failures.append((report.shape_id, entry.p, "no convergence"))
                 continue
@@ -179,8 +179,8 @@ def test_criterion_08_cheeger_and_small_p():
     dev_tri = abs(h_tri - oracles.EQUILATERAL_H_R1)
     assert dev_tri <= 1e-9, f"CRITERION 8 FAIL: h(equilateral) off by {dev_tri:.1e}"
     trend = p_to_one_trend(SQUARE, [1.2, 1.1, 1.05], levels=4)
-    h = trend.cheeger.h
-    devs = [row[2] / h for row in trend.rows]
+    h = trend.cheeger_h
+    devs = [row.deviation_from_h / h for row in trend.rows]
 
     # Accuracy at p = 1.05: B_{cos(pi/64)} lies inside the 64-gon, which
     # lies inside B_1, and T_p grows with the domain; that pins T(1.05) to
@@ -215,7 +215,8 @@ def test_criterion_08_cheeger_and_small_p():
     # disk's with P in place of 2 pi r. The ratio
     # |O|^(p-1) int|grad v|^p / (int v)^p then equals the disk's, so
     # T(p; square) <= T(p; B_r).
-    for (p_row, t_norm, _), dev in zip(trend.rows, devs):
+    for row, dev in zip(trend.rows, devs):
+        p_row, t_norm = row.p, row.T_norm
         lower = oracles.SQUARE_H**p_row
         upper = oracles.ball_rigidity(p_row, 0.5)
         assert t_norm >= lower, (
@@ -242,7 +243,7 @@ def test_criterion_08_cheeger_and_small_p():
 
 def test_criterion_09_large_p_trend():
     trend = p_to_infinity_trend(SQUARE, [8.0, 16.0, 32.0], levels=3)
-    devs = [row[2] for row in trend.rows]
+    devs = [row.deviation for row in trend.rows]
     print(f"CRITERION 9: |T^(1/p) delta - 1| = {devs[0]:.4f} > {devs[1]:.4f} > {devs[2]:.4f}, final <= 0.2")
     assert devs[0] > devs[1] > devs[2], f"CRITERION 9 FAIL: trend not decreasing {devs}"
     assert devs[2] <= 0.2, f"CRITERION 9 FAIL: final deviation {devs[2]:.4f}"
@@ -262,7 +263,7 @@ def test_criterion_11_saint_venant():
     reports, _ = corridor_suite()
     failures = []
     for report in reports:
-        for entry in report.entries:
+        for entry in report.rigidity:
             if entry.p not in (1.5, 2.0, 3.0):
                 continue
             verdict = {v.name: v for v in entry.verdicts}["saint_venant"]

@@ -69,12 +69,12 @@ def test_cheeger_core_properties():
 def test_p_to_one_trend_square():
     trend = p_to_one_trend(SQUARE, [1.2, 1.1], levels=3, h0=0.1)
     assert len(trend.rows) == 2
-    ps = [row[0] for row in trend.rows]
+    ps = [row.p for row in trend.rows]
     assert ps == [1.2, 1.1]
-    devs = [row[2] for row in trend.rows]
+    devs = [row.deviation_from_h for row in trend.rows]
     # T(p) approaches h from above, deviation shrinking with p
     assert devs[1] < devs[0]
-    assert np.isclose(trend.cheeger.h, oracles.SQUARE_H, rtol=1e-9)
+    assert np.isclose(trend.cheeger_h, oracles.SQUARE_H, rtol=1e-9)
     assert np.isclose(trend.q1, 0.5 * oracles.SQUARE_H, rtol=1e-12)
     assert 1.0 <= trend.q1 < 2.0
 

@@ -316,6 +316,16 @@ def test_empty_number_list_input_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert f"{argv[-2]}: invalid" in err
+    assert "_parse_floats" not in err
+    assert "expected at least one number" in err
+
+
+def test_malformed_number_list_input_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--p", "1,x")
+    assert code == 1
+    assert out == ""
+    assert "--p: invalid number list '1,x': expected comma-separated numbers" in err
+    assert "_parse_floats" not in err
 
 
 def test_estimate_gamma_takes_one_p(capsys):

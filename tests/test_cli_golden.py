@@ -28,9 +28,16 @@ COMMANDS = {
         "limits", "--spec", '{"kind":"random","seed":[1,0]}',
         "--direction", "large-p", "--p-large", "10,32", "--levels", "2",
     ],
+    "limits_small_p": [
+        "limits", "--spec", '{"kind":"random","seed":[1,0]}',
+        "--direction", "small-p", "--levels", "2",
+    ],
     "sweep_random": [
         "sweep", "--family", "random", "--count", "2", "--p", "2,10",
         "--levels", "2", "--format", "json",
+    ],
+    "sweep_triangles": [
+        "sweep", "--family", "triangles", "--p", "2", "--levels", "2", "--format", "json",
     ],
     "verify_pairs": [
         "pairs", "--count", "2", "--p", "3", "--levels", "2", "--format", "json",

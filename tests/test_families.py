@@ -5,6 +5,7 @@ import pytest
 
 from torsionlab import make_rectangle, random_convex_polygon
 from torsionlab.families import (
+    TRIANGLES,
     FamilySweepConfig,
     UPPER_BOUND_LABEL,
     compare_pairs,
@@ -55,14 +56,8 @@ def test_ellipse_sweep_reference_columns():
 
 
 def test_triangle_sweep_identity_column():
-    cfg = FamilySweepConfig(
-        "triangles",
-        triangles=(((0.0, 0.0), (1.0, 0.0), (0.3, 0.8)), ((0.0, 0.0), (2.0, 0.0), (0.0, 1.5))),
-        p_grid=(2.0,),
-        levels=2,
-    )
-    rows = sweep(cfg)
-    assert len(rows) == 2
+    rows = sweep(FamilySweepConfig("triangles", p_grid=(2.0,), levels=2))
+    assert len(rows) == len(TRIANGLES) == 3
     for row in rows:
         # R * P / area = 2 for every triangle
         assert np.isclose(row["inradius"] * row["perimeter"] / row["area"], 2.0, rtol=1e-12)
@@ -96,9 +91,10 @@ def test_normalize_polygon():
 def test_infinity_trend_square():
     trend = p_to_infinity_trend(make_rectangle(1.0, 0.5), [4.0, 8.0, 16.0], levels=2)
     assert len(trend.rows) == 3
-    # T(p)^(1/p) * delta approaches R/delta = 3 for the square
-    values = [row[1] for row in trend.rows]
-    assert abs(values[-1] - 3.0) < abs(values[0] - 3.0)
+    # T(p)^(1/p) * delta increases toward its limit 1 (0.942, 0.970, 0.985)
+    values = [row.t_norm_root_times_delta for row in trend.rows]
+    assert values[0] < values[1] < values[2]
+    assert abs(values[2] - 1.0) < abs(values[1] - 1.0) < abs(values[0] - 1.0)
     assert np.isclose(trend.q_inf, 3.0, rtol=1e-12)
     assert trend.q_inf_window == (2.0, 3.0)
     assert trend.in_window

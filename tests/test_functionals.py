@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -164,17 +165,18 @@ def test_dumps_9g_deterministic_and_parseable():
 def test_build_shape_report_square():
     report = build_shape_report(SQUARE, [2.0], levels=3, h0=0.1, shape_id="sq")
     assert report.shape_id == "sq"
-    assert np.isclose(report.area, 1.0, rtol=1e-12)
-    assert np.isclose(report.delta, 1.0 / 6.0, rtol=1e-12)
-    assert np.isclose(report.q_inf, 3.0, rtol=1e-12)
-    entry = report.entries[0]
-    assert np.isclose(entry.t_p, oracles.SQUARE_T2, rtol=1e-3)
-    assert np.isclose(entry.q_p, oracles.SQUARE_Q2, rtol=2e-3)
+    assert np.isclose(report.geometry.area, 1.0, rtol=1e-12)
+    assert np.isclose(report.geometry.avg_boundary_distance, 1.0 / 6.0, rtol=1e-12)
+    assert np.isclose(report.limits.q_inf, 3.0, rtol=1e-12)
+    entry = report.rigidity[0]
+    assert np.isclose(entry.T_p, oracles.SQUARE_T2, rtol=1e-3)
+    assert np.isclose(entry.Q_p, oracles.SQUARE_Q2, rtol=2e-3)
     assert entry.converged
     assert report.all_passed()
-    d = report.to_json_dict()
-    assert d["schema_version"] == "1"
-    assert d["geometry"]["area"] == report.area
+    # the CLI adds schema_version in front of these keys
+    d = asdict(report)
+    assert list(d) == ["shape_id", "geometry", "limits", "rigidity"]
+    assert d["geometry"]["area"] == report.geometry.area
     # verdicts are written from the Verdict fields: pin the keys
     for v in d["rigidity"][0]["verdicts"]:
         assert list(v) == ["name", "value", "lower", "upper", "margin", "slack", "passed"]
@@ -182,9 +184,9 @@ def test_build_shape_report_square():
 
 def test_report_with_cheeger():
     report = build_shape_report(SQUARE, [2.0], levels=2, h0=0.15, with_cheeger=True)
-    assert np.isclose(report.h, oracles.SQUARE_H, rtol=1e-9)
-    assert np.isclose(report.q1, 0.5 * oracles.SQUARE_H, rtol=1e-9)
-    assert 1.0 <= report.q1 < 2.0
+    assert np.isclose(report.limits.cheeger_h, oracles.SQUARE_H, rtol=1e-9)
+    assert np.isclose(report.limits.q1, 0.5 * oracles.SQUARE_H, rtol=1e-9)
+    assert 1.0 <= report.limits.q1 < 2.0
 
 
 def test_csv_rows_follow_columns():
