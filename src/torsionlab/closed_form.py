@@ -23,7 +23,7 @@ def _check_p(p: float) -> None:
 def prefactor(p: float) -> float:
     """((2p-1)/(p-1))^(p-1), the constant in the rigidity corridor bounds.
 
-    Tends to 1 as p -> 1+ and behaves like (2e)^... safely for large p;
+    Tends to 1 as p -> 1+ and grows like sqrt(e) 2^(p-1) for large p;
     evaluated as exp((p-1) log((2p-1)/(p-1))).
     """
     _check_p(p)

@@ -455,13 +455,13 @@ def _family_checks(p, q_by_id, levels) -> list[FamilyCheck]:
     """
     table = [
         ("rectangles", family_gamma_bound("rectangle", 2.0), 0.0, [
-            ("kappa=2", make_rectangle(1.0, 0.5)),
+            ("kappa=2", "unit_square"),
             ("kappa=10", make_rectangle(5.0, 0.5)),
             ("kappa=1000", "rectangle_kappa_1000"),
         ]),
         ("triangles", family_gamma_bound("triangle", None), 0.0, [
             ("equilateral", "equilateral_triangle"),
-            ("right_isosceles", make_triangle((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+            ("right_isosceles", make_triangle(*TRIANGLES[1])),
         ]),
     ]
     if p == 2.0:

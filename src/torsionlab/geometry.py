@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InvalidDomainError, SamplingError
 
@@ -442,7 +442,7 @@ def random_convex_polygon(seed, n: int = 24, mode: str = "hull-of-uniform") -> C
         try:
             hull = ConvexHull(pts)
             return ConvexPolygon(pts[hull.vertices])
-        except Exception:
+        except (InvalidDomainError, QhullError):
             continue
     raise SamplingError(
         f"no valid convex polygon after {MAX_SAMPLER_ATTEMPTS} attempts "

@@ -89,7 +89,7 @@ class Mesh:
     the meshes of each polygon and solves every p on the same ones.
     """
 
-    def __init__(self, nodes, triangles, boundary_mask, h_max=None, parent_edges=None):
+    def __init__(self, nodes, triangles, boundary_mask, parent_edges=None):
         self.nodes = _frozen(np.ascontiguousarray(nodes, dtype=float))
         self.triangles = _frozen(np.ascontiguousarray(triangles, dtype=np.int32))
         self.boundary_mask = _frozen(np.ascontiguousarray(boundary_mask, dtype=bool))
@@ -100,16 +100,14 @@ class Mesh:
         total = float(self.areas.sum())
         if np.any(self.areas <= 1e-14 * total):
             raise MeshResourceError("mesh contains degenerate or inverted triangles")
-        if h_max is None:
-            a, b, c = (self.nodes[self.triangles[:, k]] for k in range(3))
-            h_max = float(
-                max(
-                    np.max(np.hypot(*(b - a).T)),
-                    np.max(np.hypot(*(c - b).T)),
-                    np.max(np.hypot(*(a - c).T)),
-                )
+        a, b, c = (self.nodes[self.triangles[:, k]] for k in range(3))
+        self.h_max = float(
+            max(
+                np.max(np.hypot(*(b - a).T)),
+                np.max(np.hypot(*(c - b).T)),
+                np.max(np.hypot(*(a - c).T)),
             )
-        self.h_max = h_max
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -316,7 +314,7 @@ def _structured_rectangle_mesh(poly: ConvexPolygon, h_target: float) -> Mesh:
     gi, gj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
     on_edge = (gi == 0) | (gi == nx) | (gj == 0) | (gj == ny)
     boundary[: (nx + 1) * (ny + 1)] = on_edge.ravel()
-    return Mesh(nodes, tris, boundary, h_max=float(max(dx, dy)))
+    return Mesh(nodes, tris, boundary)
 
 
 def _boundary_chain(poly: ConvexPolygon, h_target: float) -> np.ndarray:
@@ -530,47 +528,24 @@ def _energy(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float) -> float
     return float(_power_sums(mesh, g + eps2, p)) / p - f
 
 
-def _has_ray(g_top: float, f: float) -> bool:
-    """Whether the ray of a v with max squared gradient g_top and b.v = f has
-    a minimizer to compute: not if v is zero, f <= 0, or g_top or f is not
-    finite."""
-    return 0.0 < g_top < math.inf and 0.0 < f < math.inf
-
-
-def _scale_of(e_scaled: float, g_top: float, f: float, p: float) -> float:
-    """s = (f / E_p(v))^(1/(p-1)) for E_p(v) = g_top^(p/2) e_scaled, with
-    log s clamped to [-700, 700], where exp(log s) is finite."""
-    log_e = 0.5 * p * math.log(g_top) + math.log(e_scaled)
-    log_s = (math.log(f) - log_e) / (p - 1.0)
-    if abs(log_s) > 700.0:
-        log_s = math.copysign(700.0, log_s)
-    return math.exp(log_s)
-
-
-def _ray_scale(mesh: Mesh, g: np.ndarray, f: float, p: float) -> float:
-    """Scale s of the minimizer s v of J over the ray of a v with squared
-    gradients g and b.v = f; 1.0 when there is none to compute (_has_ray)."""
-    g_top = float(np.maximum.reduce(g))
-    if not _has_ray(g_top, f):
-        return 1.0
-    # scale out g_top so the p/2 power cannot overflow
-    return _scale_of(float(_power_sums(mesh, g / g_top, p)), g_top, f, p)
-
-
 def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
     """(energy at eps2, s) of the lower of u, with squared gradients g and
-    b.u = f, (s = 1) and its ray minimizer s u, which wins ties. u's energy
-    and the p-energy that sets s are priced in one stacked pass. Callers
-    allow overflow, as for _energy."""
+    b.u = f, (s = 1) and its ray minimizer s u, which wins ties. On the ray
+    J(s u) = s^p E_p(u) / p - s f is least at s = (f / E_p(u))^(1/(p-1)),
+    with log s clamped to [-700, 700], where exp(log s) is finite. There is
+    no minimizer to compute (s = 1) if u is zero, f <= 0, or g or f is not
+    finite. u's energy and the p-energy that sets s are priced in one
+    stacked pass. Callers allow overflow, as for _energy."""
     g_top = float(np.maximum.reduce(g))
-    if not _has_ray(g_top, f):
+    if not (0.0 < g_top < math.inf and 0.0 < f < math.inf):
         return _energy(mesh, g, f, p, eps2), 1.0
     x = np.empty((2, len(g)))
     np.add(g, eps2, out=x[0])
-    np.divide(g, g_top, out=x[1])
+    np.divide(g, g_top, out=x[1])  # g_top scaled out: the p/2 power cannot overflow
     e_reg, e_scaled = _power_sums(mesh, x, p)
     j = float(e_reg) / p - f
-    s = _scale_of(float(e_scaled), g_top, f, p)
+    log_e = 0.5 * p * math.log(g_top) + math.log(float(e_scaled))
+    s = math.exp(min(max((math.log(f) - log_e) / (p - 1.0), -700.0), 700.0))
     if s != 1.0:
         j_s = _energy(mesh, g * s * s, s * f, p, eps2)
         if j_s <= j:
@@ -585,20 +560,22 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
     It starts from `start` (nodal values; boundary values are taken as 0)
     when one is given, which costs no linear solve; else from the distance
     to the boundary for p > 2 (the limit of the minimizers as p grows),
-    else from the p = 2 solution. Any start is first moved to
-    its best ray. At p = 2 the solve is one linear solve and `start` is not
-    used. At each level of EPS_LEVELS, eps = eps_rel * max |grad u| for the
-    current iterate. Each step tries the Newton direction of the regularized
-    energy first and the lagged (Kacanov) step only where Newton is
-    rejected; either goes through one halving line search, against the ray
-    minimizer of each trial point, and must not raise the energy. A level
-    ends on a step that lowers the energy by less than TOL_LAGGED; when that
-    is its first step and a full (lam = 1) Newton step, the last level comes
-    next. On the last level a step must lower the energy. It converges on a
-    full step that lowers the energy by less than TOL_NEWTON, or when both
-    kinds of step are rejected (the floating-point floor). A solve that
-    has not converged after MAX_ITERS iterations, over all levels, raises
-    ConvergenceError carrying its last iterate.
+    else from the p = 2 solution. The start is priced as every line-search
+    trial and the end are, by _ray_priced without regularization: it moves
+    to its ray minimizer unless that raises the energy. At p = 2 the solve
+    is one linear solve and `start` is not used. At each level of
+    EPS_LEVELS, eps = eps_rel * max |grad u| for the current iterate. Each
+    step tries the Newton direction of the regularized energy first and the
+    lagged (Kacanov) step only where Newton is rejected; either goes through
+    one halving line search, against the ray minimizer of each trial point,
+    and must not raise the energy. A level ends on a step that lowers the
+    energy by less than TOL_LAGGED; when that is its first step and a full
+    (lam = 1) Newton step, the last level comes next. On the last level a
+    step must lower the energy. It converges on a full step that lowers the
+    energy by less than TOL_NEWTON, or when both kinds of step are rejected
+    (the floating-point floor). A solve that has not converged after
+    MAX_ITERS iterations, over all levels, raises ConvergenceError carrying
+    its last iterate.
     """
     if not (1.0 < p <= P_MAX_SUPPORTED):
         raise ValueError(f"p must lie in (1, {P_MAX_SUPPORTED}], got {p}")
@@ -677,7 +654,8 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
     # gu and g, the gradients of u and their squares, are recomputed from
     # each accepted point: updated along with u, they would drift
     gu = mesh.gradient_field(u)
-    s = _ray_scale(mesh, np.einsum("mj,mj->m", gu, gu), float(load @ u), p)
+    with np.errstate(over="ignore"):
+        s = _ray_priced(mesh, np.einsum("mj,mj->m", gu, gu), float(load @ u), p, 0.0)[1]
     u, gu = u * s, gu * s
     g = np.einsum("mj,mj->m", gu, gu)
     trace: list = []
@@ -712,13 +690,8 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
             if accepted is None:
                 converged = li == last  # stationary to float precision
                 break
-            u_new, lam = accepted
+            u, lam = accepted
             lam_mem = lam_mem if newton else lam
-            if li != last:  # the last level does not read the step size
-                step_rel = float(np.maximum.reduce(np.abs(u_new - u))) / max(
-                    float(np.maximum.reduce(np.abs(u_new))), 1e-300
-                )
-            u = u_new
             gu = mesh.gradient_field(u)
             g = np.einsum("mj,mj->m", gu, gu)
             f = float(load @ u)
@@ -730,7 +703,7 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
                 if lam == 1.0 and rel_dec < TOL_NEWTON:
                     converged = True
                     break
-            elif rel_dec < TOL_LAGGED or step_rel < 1e-13:
+            elif rel_dec < TOL_LAGGED:
                 settled = newton and lam == 1.0 and step == 0
                 break
         if li == last or iterations >= MAX_ITERS:
@@ -788,7 +761,6 @@ class RigidityEstimate:
     t_p: float
     error_estimate: float
     values: list
-    h_values: list
     observed_order: float
     iterations: int
     solution: TorsionSolution
@@ -843,14 +815,12 @@ def rigidity_with_refinement(
     if h0 is None:
         h0 = default_h0(poly)
     values: list[float] = []
-    h_values: list[float] = []
     iterations = 0
     sol = None
     for mesh in _nested_meshes(poly, h0, levels):
         start = mesh.prolong(sol.u) if sol is not None and p <= NESTED_START_P_MAX else None
         sol = solve_p_torsion(mesh, p, start=start)
         values.append(sol.t_p)
-        h_values.append(mesh.h_max)
         iterations += sol.iterations
     d_last = values[-1] - values[-2]
     if levels >= 3 and d_last != 0.0 and values[-2] - values[-3] != 0.0:
@@ -864,7 +834,6 @@ def rigidity_with_refinement(
         t_p=t_ext,
         error_estimate=abs(d_last),
         values=values,
-        h_values=h_values,
         observed_order=order,
         iterations=iterations,
         solution=sol,

@@ -39,6 +39,14 @@ COMMANDS = {
     "sweep_triangles": [
         "sweep", "--family", "triangles", "--p", "2", "--levels", "2", "--format", "json",
     ],
+    "sweep_ellipses_csv": [
+        "sweep", "--family", "ellipses", "--kappa", "1,2", "--p", "2", "--levels", "2",
+        "--format", "csv",
+    ],
+    "sweep_rectangles_csv": [
+        "sweep", "--family", "rectangles", "--kappa", "2,10", "--p", "2,5", "--levels", "2",
+        "--format", "csv",
+    ],
     "verify_pairs": [
         "pairs", "--count", "2", "--p", "3", "--levels", "2", "--format", "json",
     ],

@@ -7,6 +7,7 @@ import oracles
 from torsionlab import (
     ConvexPolygon,
     InvalidDomainError,
+    SamplingError,
     average_distance,
     erode,
     make_ellipse_polygon,
@@ -17,6 +18,7 @@ from torsionlab import (
     scale,
     shape_from_json,
 )
+from torsionlab import geometry
 from torsionlab.geometry import ShapeSpec
 
 
@@ -207,6 +209,26 @@ def test_random_polygon_modes():
     assert not np.array_equal(hull.vertices, ngon.vertices)
     with pytest.raises(Exception):
         random_convex_polygon(7, 15, mode="no-such-mode")
+
+
+def test_random_polygon_retries_only_invalid_draws(monkeypatch):
+    # a draw that makes no valid polygon is retried; a programming error is not
+    def hull_raising(exc):
+        def hull(pts):
+            calls.append(len(pts))
+            raise exc
+        return hull
+
+    calls = []
+    monkeypatch.setattr(geometry, "ConvexHull", hull_raising(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        random_convex_polygon(7, 15)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(geometry, "ConvexHull", hull_raising(InvalidDomainError("flat")))
+    with pytest.raises(SamplingError):
+        random_convex_polygon(7, 15)
+    assert len(calls) == geometry.MAX_SAMPLER_ATTEMPTS
 
 
 def test_scale_exact():

@@ -22,7 +22,7 @@ from torsionlab import ptorsion
 from torsionlab.functionals import build_shape_report
 from torsionlab.ptorsion import (
     Mesh,
-    _ray_scale,
+    _ray_priced,
     default_h0,
     refine,
     rigidity_with_refinement,
@@ -304,7 +304,8 @@ def test_ray_rescaling_branches():
     d[mesh.boundary_mask] = 0.0
 
     def ray_scale(m, v, p):
-        return _ray_scale(m, m.gradient_squares(v), float(m.load_vector @ v), p)
+        with np.errstate(over="ignore"):
+            return _ray_priced(m, m.gradient_squares(v), float(m.load_vector @ v), p, 0.0)[1]
 
     def b_dot_and_energy(v, p):
         return mesh.load_vector @ v, np.sum(mesh.areas * mesh.gradient_squares(v) ** (p / 2.0))
@@ -335,7 +336,9 @@ def test_ray_rescaling_branches():
     f = big.load_vector @ d_big
     e = np.sum(big.areas * big.gradient_squares(d_big) ** 0.5005)
     assert math.log(f / e) / 0.001 > 700.0
-    assert ray_scale(big, d_big, 1.001) == math.exp(700.0)
+    # the clamped point exp(700) d_big has infinite energy, so d_big stays;
+    # test_fused_ray_pricing_matches_the_composition_bitwise pins the clamp
+    assert ray_scale(big, d_big, 1.001) == 1.0
 
 
 def _energy_composed(mesh, g, f, p, eps2):
@@ -500,8 +503,6 @@ def test_rigidity_estimate_error_and_slack():
     assert est.error_estimate > 0.0
     assert np.isclose(est.slack, 3.0 * est.error_estimate / est.t_p, rtol=1e-12)
     assert len(est.values) == 3
-    assert len(est.h_values) == 3
-    assert est.h_values[0] == pytest.approx(2.0 * est.h_values[1], rel=1e-12)
 
 
 def test_torsion_scaling_p2():
@@ -621,8 +622,8 @@ def test_search_trials_gather_no_nodal_values(monkeypatch):
         searches = sol.newton_steps + sol.lagged_steps
         assert len(inputs) == 1 + searches + len(sol.energy_trace), p
         assert all(a != b for a, b in zip(inputs, inputs[1:])), p
-        # every trial is priced once against its ray, as is the end
-        trials = len(priced) - 1
+        # every trial is priced once against its ray, as are the start and the end
+        trials = len(priced) - 2
         assert trials >= searches, p
         assert sol.backtracks == trials - len(sol.energy_trace), p
         if p == 1.05:
