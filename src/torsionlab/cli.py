@@ -150,11 +150,14 @@ def cmd_sweep(args) -> int:
     config = FamilySweepConfig(**kwargs)
     rows = sweep(config)
     failed = [r for r in rows if r["status"] != "ok"]
-    if rows and len(failed) == len(rows):
-        sys.stderr.write("sweep: every row failed\n")
+    if failed:
+        every = len(failed) == len(rows)
+        count = "every row" if every else f"{len(failed)} of {len(rows)} rows"
+        sys.stderr.write(f"sweep: {count} failed\n")
         for r in failed:
             sys.stderr.write(f"  {r['shape_id']} p={r['p']}: {r['status']}\n")
-        return EXIT_SOLVER
+        if every:
+            return EXIT_SOLVER
     manifest = {
         "schema_version": SCHEMA_VERSION,
         **asdict(config),

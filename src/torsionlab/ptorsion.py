@@ -568,12 +568,17 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
     step tries the Newton direction of the regularized energy first and the
     lagged (Kacanov) step only where Newton is rejected; either goes through
     one halving line search, against the ray minimizer of each trial point,
-    and must not raise the energy. A level ends on a step that lowers the
-    energy by less than TOL_LAGGED; when that is its first step and a full
-    (lam = 1) Newton step, the last level comes next. On the last level a
-    step must lower the energy. It converges on a full step that lowers the
-    energy by less than TOL_NEWTON, or when both kinds of step are rejected
-    (the floating-point floor). A solve that has not converged after
+    and must not raise the energy. A search starts at lam = 1 after a search
+    that accepted its first trial, and at min(1, 2 lam) after one that
+    backtracked to lam (a search that accepts nothing leaves this start as
+    it was). A level ends on a step that lowers the energy by less than
+    TOL_LAGGED; when that is its first step and a full (lam = 1) Newton
+    step, the last level comes next. On the last level a step must lower
+    the energy. It converges on a full step that lowers the energy by less
+    than TOL_NEWTON, or when both kinds of step are rejected (the
+    floating-point floor). A converged u with nodes below 0 offers
+    max(u, 0) as one more candidate, priced like the end, and takes it
+    unless it raises the energy. A solve that has not converged after
     MAX_ITERS iterations, over all levels, raises ConvergenceError carrying
     its last iterate.
     """
@@ -660,7 +665,7 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
     g = np.einsum("mj,mj->m", gu, gu)
     trace: list = []
     converged = False
-    lam_mem = 1.0
+    lam0 = 1.0  # first trial of the next search
     newton_steps = lagged_steps = 0
     last = len(EPS_LEVELS) - 1
     li = 0
@@ -678,7 +683,7 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
             if d is not None:
                 iterations += 1
                 newton_steps += 1
-                accepted = search(u, gu, d, 1.0, j_cur, eps2, li == last)
+                accepted = search(u, gu, d, lam0, j_cur, eps2, li == last)
             newton = accepted is not None
             if not newton:
                 if iterations >= MAX_ITERS:
@@ -686,12 +691,12 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
                 iterations += 1
                 lagged_steps += 1
                 d = lagged_point(g, eps2) - u
-                accepted = search(u, gu, d, min(1.0, 2.0 * lam_mem), j_cur, eps2, li == last)
+                accepted = search(u, gu, d, lam0, j_cur, eps2, li == last)
             if accepted is None:
                 converged = li == last  # stationary to float precision
                 break
             u, lam = accepted
-            lam_mem = lam_mem if newton else lam
+            lam0 = 1.0 if lam == lam0 else min(1.0, 2.0 * lam)
             gu = mesh.gradient_field(u)
             g = np.einsum("mj,mj->m", gu, gu)
             f = float(load @ u)
@@ -714,7 +719,14 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
     f = float(load @ u)
     with np.errstate(over="ignore"):
         energy, s = _ray_priced(mesh, g, f, p, 0.0)
-    u = u * s
+        u = u * s
+        if converged and u.min() < 0.0:
+            # the floating-point floor can stop where u is nearly flat with
+            # nodes a rounding below 0; max(u, 0) is one more candidate
+            v = np.maximum(u, 0.0)
+            e_v, s_v = _ray_priced(mesh, mesh.gradient_squares(v), float(load @ v), p, 0.0)
+            if e_v <= energy:
+                u, energy = v * s_v, e_v
     t_p = float(load @ u)
     backtracks = trials - len(trace)  # every search accepts at most its last trial
     sol = TorsionSolution(
@@ -802,7 +814,8 @@ def rigidity_with_refinement(
     base level, and every level for larger p, where the distance start needs
     fewer iterations, take solve_p_torsion's own start: the distance to the
     boundary for p > 2, the p = 2 solution for p < 2. On nested meshes T_p
-    grows with the level.
+    grows with the level, and equal T_p on the two finest levels, which
+    would give a zero error estimate, raise ConvergenceError.
     The error estimate is the difference of the two finest levels; the
     empirical convergence order comes from the last three levels when
     available (clamped to [0.5, 4]).
@@ -823,7 +836,14 @@ def rigidity_with_refinement(
         values.append(sol.t_p)
         iterations += sol.iterations
     d_last = values[-1] - values[-2]
-    if levels >= 3 and d_last != 0.0 and values[-2] - values[-3] != 0.0:
+    if d_last == 0.0:
+        # on nested meshes T_p grows with the level: a level made no progress
+        raise ConvergenceError(
+            f"refinement study (p={p}): T_p did not change from level {levels - 2} "
+            f"to level {levels - 1} ({values[-1]:g}), so it has no error estimate",
+            solution=sol,
+        )
+    if levels >= 3 and values[-2] - values[-3] != 0.0:
         ratio = abs((values[-2] - values[-3]) / d_last)
         order = math.log2(ratio) if ratio > 0 else 2.0
         order = min(max(order, 0.5), 4.0)

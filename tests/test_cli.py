@@ -415,3 +415,31 @@ def test_p_out_of_range_exit_1(capsys):
     )
     assert code == 1
     assert "input error" in err
+
+
+def test_sweep_partly_failed_rows_on_stderr(capsys, monkeypatch):
+    # T_p that does not change from level 0 to level 1 has no error
+    # estimate; the refinement study raises, and the sweep's p = 3 row fails
+    # while the p = 2 row does not. Stdout and the exit code are those of a
+    # sweep without failures; stderr names the failed row.
+    solve = ptorsion.solve_p_torsion
+
+    def stalled(mesh, p, start=None):
+        sol = solve(mesh, p, start=start)
+        if p == 3.0:
+            sol.t_p = 1.0
+        return sol
+
+    monkeypatch.setattr(ptorsion, "solve_p_torsion", stalled)
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "random", "--count", "1", "--p", "2,3", "--levels", "2",
+        "--format", "csv",
+    )
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 2 and rows[0].endswith(",ok")
+    assert "did not change from level 0 to level 1" in rows[1]
+    lines = err.splitlines()
+    assert lines[0] == "sweep: 1 of 2 rows failed"
+    assert len(lines) == 2
+    assert lines[1].startswith("  random_0_0 p=3.0: solver failure: refinement study (p=3.0)")
