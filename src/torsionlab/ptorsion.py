@@ -7,9 +7,12 @@ driven down a continuation schedule. Each step is a Newton step with
 a lagged-diffusivity step (weights (|grad u|^2 + eps^2)^((p-2)/2)) as
 fallback. Gradients of piecewise-linear functions are constant per
 triangle, so energies, weights and the torsion integral are all exact.
-Every linear system is symmetric positive definite on the mesh's interior
-nodes, assembled straight into LAPACK band storage in reverse Cuthill-McKee
-order and solved by banded Cholesky.
+Per-triangle arrays are component-major, the M triangles on the last axis:
+gradients are (2, M), and a matrix is priced as the (6, M) values of each
+triangle's six lower local pairs. Every linear system is symmetric positive
+definite on the mesh's interior nodes, summed by one np.bincount straight
+into LAPACK band storage in reverse Cuthill-McKee order (the mesh's one
+band plan) and solved by banded Cholesky.
 
 Axis-aligned rectangles get a structured criss-cross mesh (exactly
 symmetric, robust for aspect ratios in the thousands); every other polygon
@@ -37,6 +40,10 @@ from .geometry import ConvexPolygon
 NODE_BUDGET = 2_000_000
 # Doubles one band matrix may hold: 1 GiB.
 BAND_BUDGET = 2**30 // 8
+# The six lower local pairs (i, j), i >= j, of a triangle's symmetric 3 x 3
+# stiffness block, in the order of the plan's (6, M) pair arrays.
+PAIR_I = np.array((0, 1, 2, 1, 2, 2))
+PAIR_J = np.array((0, 0, 0, 1, 1, 2))
 
 # Interior hexagonal lattice spacing relative to h_target, and the minimum
 # clearance between lattice points and the boundary chain (in lattice
@@ -83,10 +90,11 @@ class Mesh:
     oriented; boundary_mask: (N,) bool; h_max: longest edge length;
     parent_edges: for a mesh made by refine, the (N - N0, 2) pairs of
     coarse nodes whose midpoints are nodes N0.. (the first N0 nodes are the
-    coarse mesh's), else None. Immutable, with cached FEM arrays (among
-    them the band plan that orders the interior nodes). Every array it
-    holds, given or cached, is read-only: rigidity_with_refinement caches
-    the meshes of each polygon and solves every p on the same ones.
+    coarse mesh's), else None. Immutable; its per-triangle kernels (basis
+    gradients, unit pair stiffness, band slots) are cached component-major
+    in one plan, _band_plan. Every array it holds, given or cached, is
+    read-only: rigidity_with_refinement caches the meshes of each polygon
+    and solves every p on the same ones.
     """
 
     def __init__(self, nodes, triangles, boundary_mask, parent_edges=None):
@@ -117,23 +125,11 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    @cached_property
+    @property
     def grads(self) -> np.ndarray:
-        """(M, 3, 2) gradients of the three barycentric basis functions."""
-        a, b, c = (self.nodes[self.triangles[:, k]] for k in range(3))
-        g = np.empty((self.n_triangles, 3, 2))
-        for k, (p_opp1, p_opp2) in enumerate(((c, b), (a, c), (b, a))):
-            d = p_opp1 - p_opp2
-            g[:, k, 0] = -d[:, 1]
-            g[:, k, 1] = d[:, 0]
-        g /= (2.0 * self.areas)[:, None, None]
-        return _frozen(g)
-
-    @cached_property
-    def k_local(self) -> np.ndarray:
-        """(M, 3, 3) per-triangle stiffness blocks for unit weight."""
-        g = self.grads
-        return _frozen(self.areas[:, None, None] * np.einsum("mik,mjk->mij", g, g))
+        """(M, 3, 2) gradients of the three barycentric basis functions: a
+        read-only transposed view of the plan's G."""
+        return self._band_plan[0].transpose(2, 1, 0)
 
     @cached_property
     def load_vector(self) -> np.ndarray:
@@ -148,74 +144,83 @@ class Mesh:
 
     @cached_property
     def _band_plan(self):
-        """Scatter of per-triangle stiffness entries into the interior-reduced
-        band matrix.
+        """The mesh's one plan of FEM kernels, component-major (triangles on
+        the last axis): (G, tt, k6, slot6, perm, kd, nnz).
 
-        Returns (tri, qi, qj, k, slot, perm, kd, nnz). The interior unknowns
-        are taken in reverse Cuthill-McKee order perm, which confines the
-        matrix to half-bandwidth kd. Entry e is the lower-triangle entry
-        (i, j) of triangle tri[e]'s 3 x 3 block that couples two interior
-        nodes: qi[e] = 3 tri[e] + i and qj[e] = 3 tri[e] + j index the
-        triangle's basis functions in (M, 3) arrays flattened,
-        k[e] = k_local[tri[e], i, j], and the entry adds into element slot[e]
-        of the Fortran-ordered (kd + 1, n) LAPACK lower band array. nnz
-        counts the distinct nonzeros of the full matrix.
+        G (2, 3, M) holds the x and y components of the basis gradients,
+        tt (3, M) the triangles transposed, and k6 (6, M) the unit-weight
+        stiffness area * grad phi_i . grad phi_j of the six lower local
+        pairs (PAIR_I[e], PAIR_J[e]). The interior unknowns are taken in
+        reverse Cuthill-McKee order perm, which confines the matrix to
+        half-bandwidth kd. Pair e of triangle m adds into element slot6[e, m]
+        of the Fortran-ordered (kd + 1, n) LAPACK lower band array or, if it
+        touches a boundary node, into the dump slot (kd + 1) n, which
+        _assemble drops. nnz counts the full matrix's distinct nonzeros. tt
+        and slot6 are int32; BAND_BUDGET keeps every slot below 2^31.
         """
+        tri, m = self.triangles, self.n_triangles
+        a, b, c = (self.nodes[tri[:, k]] for k in range(3))
+        G = np.empty((2, 3, m))
+        for k, (p_opp1, p_opp2) in enumerate(((c, b), (a, c), (b, a))):
+            d = p_opp1 - p_opp2
+            G[0, k] = -d[:, 1]
+            G[1, k] = d[:, 0]
+        G /= 2.0 * self.areas
+        k6 = self.areas * np.add.reduce(G[:, PAIR_I] * G[:, PAIR_J], axis=0)
         ni = len(self.interior_index)
         imap = np.full(self.n_nodes, -1, dtype=np.int64)
         imap[self.interior_index] = np.arange(ni)
-        ti = imap[self.triangles]  # (M, 3)
-        rows = np.broadcast_to(ti[:, :, None], (self.n_triangles, 3, 3)).ravel()
-        cols = np.broadcast_to(ti[:, None, :], (self.n_triangles, 3, 3)).ravel()
+        ti = imap[tri]  # (M, 3)
+        rows = np.broadcast_to(ti[:, :, None], (m, 3, 3)).ravel()
+        cols = np.broadcast_to(ti[:, None, :], (m, 3, 3)).ravel()
         kept = np.flatnonzero((rows >= 0) & (cols >= 0))
-        rows, cols = rows[kept], cols[kept]
-        graph = csr_matrix((np.ones(len(kept)), (rows, cols)), shape=(ni, ni))
+        graph = csr_matrix((np.ones(len(kept)), (rows[kept], cols[kept])), shape=(ni, ni))
         perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.intp)
-        inv = np.argsort(perm)
-        rows, cols = inv[rows], inv[cols]
-        lower = rows >= cols
-        kd = int((rows - cols).max(initial=0))
+        rank = np.full(self.n_nodes, -1, dtype=np.int64)  # RCM position, -1 on the boundary
+        rank[self.interior_index[perm]] = np.arange(ni)
+        tt = np.ascontiguousarray(tri.T)
+        r = rank[tt]
+        ri, rj = r[PAIR_I], r[PAIR_J]
+        col, off = np.minimum(ri, rj), np.abs(ri - rj)
+        kd = int(off[col >= 0].max(initial=0))
         if (kd + 1) * ni > BAND_BUDGET:
             raise MeshResourceError(f"a {kd + 1} x {ni} band exceeds {BAND_BUDGET} doubles")
-        slot = (rows - cols)[lower] + (kd + 1) * cols[lower]
-        nnz = len(np.unique(rows * ni + cols))
-        src = kept[lower]  # flat index into (M, 3, 3) blocks
-        tri, qi, qj = src // 9, src // 3, src // 9 * 3 + src % 3
-        k = self.k_local.ravel()[src]
-        plan = tuple(_frozen(a) for a in (tri, qi, qj, k, slot, perm))
-        return (*plan, kd, nnz)
+        slot6 = np.where(col >= 0, off + (kd + 1) * col, (kd + 1) * ni).astype(np.int32)
+        counts = np.bincount(slot6.ravel(), minlength=(kd + 1) * ni + 1)[:-1]
+        occupied = counts.reshape(ni, kd + 1) > 0  # column 0: the diagonal
+        nnz = 2 * int(occupied.sum()) - int(occupied[:, 0].sum())
+        return (*(_frozen(x) for x in (G, tt, k6, slot6, perm)), kd, nnz)
 
     def _assemble(self, values: np.ndarray) -> BandMatrix:
-        """Interior-reduced band matrix from the plan's per-entry values."""
-        slot, perm, kd, nnz = self._band_plan[4:]
+        """Interior-reduced band matrix from the plan's (6, M) pair values."""
+        slot6, perm, kd, nnz = self._band_plan[3:]
         n = len(perm)
-        data = np.bincount(slot, weights=values, minlength=(kd + 1) * n)
-        return BandMatrix(data.reshape(n, kd + 1).T, perm, nnz)
+        data = np.bincount(slot6.ravel(), weights=values.ravel(), minlength=(kd + 1) * n + 1)
+        return BandMatrix(data[:-1].reshape(n, kd + 1).T, perm, nnz)
 
     def stiffness(self, weights: np.ndarray) -> BandMatrix:
         """Interior-reduced weighted stiffness matrix."""
-        tri, _, _, k = self._band_plan[:4]
-        return self._assemble(weights[tri] * k)
+        return self._assemble(weights * self._band_plan[2])
 
     def energy_hessian(self, gu: np.ndarray, g: np.ndarray, p: float, eps2: float):
         """(Hessian, gradient) of (1/p) int (|grad u|^2 + eps2)^(p/2) at the u
-        whose per-triangle gradients are gu, with squares g, interior-reduced;
-        the gradient is K(w) u for the lagged weights w, formed per triangle.
-        None if the coefficients are not finite (wild iterate):
-        c = (p - 2) w / (g + eps2) is finite only where w is. An entry that
-        overflows still gets the Newton step rejected."""
+        whose (2, M) per-triangle gradients are gu, with squares g,
+        interior-reduced; the gradient is K(w) u for the lagged weights w,
+        formed per triangle. None if the coefficients are not finite (wild
+        iterate): c = (p - 2) w / (g + eps2) is finite only where w is. An
+        entry that overflows still gets the Newton step rejected."""
+        G, tt, k6 = self._band_plan[:3]
         with np.errstate(over="ignore", invalid="ignore"):
-            w = (g + eps2) ** ((p - 2.0) / 2.0)
-            c = (p - 2.0) * w / (g + eps2)
+            ge = g + eps2
+            w = ge ** ((p - 2.0) / 2.0)
+            c = (p - 2.0) * w / ge
             if not np.isfinite(c).all():
                 return None
-            q = np.einsum("mj,mij->mi", gu, self.grads)
-            qf = q.ravel()
-            tri, qi, qj, k = self._band_plan[:4]
-            ca = c * self.areas
-            values = w[tri] * k + (ca[tri] * qf[qi]) * qf[qj]
-            grad = ((w * self.areas)[:, None] * q).ravel()
-        grad = np.bincount(self.triangles.ravel(), weights=grad, minlength=self.n_nodes)
+            q = np.add.reduce(G * gu[:, None], axis=0)  # (3, M): grad phi_i . grad u
+            cq = c * self.areas * q
+            values = w * k6 + cq[PAIR_I] * q[PAIR_J]
+            grad = (w * self.areas) * q
+        grad = np.bincount(tt.ravel(), weights=grad.ravel(), minlength=self.n_nodes)
         return self._assemble(values), grad[self.interior_index]
 
     def prolong(self, u_coarse: np.ndarray) -> np.ndarray:
@@ -225,13 +230,15 @@ class Mesh:
         return np.concatenate([u_coarse, 0.5 * (u_coarse[e[:, 0]] + u_coarse[e[:, 1]])])
 
     def gradient_field(self, u: np.ndarray) -> np.ndarray:
-        """(M, 2) gradient of a nodal function on each triangle."""
-        return np.einsum("mi,mij->mj", u[self.triangles], self.grads)
+        """(2, M) gradient of a nodal function on each triangle."""
+        G, tt = self._band_plan[:2]
+        return np.add.reduce(G * u.take(tt), axis=1)
 
     def gradient_squares(self, u: np.ndarray) -> np.ndarray:
-        """(M,) squared gradient magnitudes of a nodal function."""
-        gu = self.gradient_field(u)
-        return np.einsum("mj,mj->m", gu, gu)
+        """(M,) squared gradient magnitudes of a nodal function, inf where
+        they overflow."""
+        with np.errstate(over="ignore"):
+            return _squares(self.gradient_field(u))
 
     @cached_property
     def boundary_node_distances(self) -> np.ndarray:
@@ -253,6 +260,13 @@ class Mesh:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _squares(gu: np.ndarray) -> np.ndarray:
+    """(M,) squared magnitudes of (2, M) per-triangle gradients; the multiply
+    warns on overflow, so callers that allow it use np.errstate."""
+    sq = gu * gu
+    return np.add(sq[0], sq[1], out=sq[0])
 
 
 # -- mesh generation --------------------------------------------------------
@@ -619,19 +633,20 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
         iterations = 1
     trials = 0
 
-    def search(u, gu, d, lam, j_cur, eps2, must_lower):
+    def search(u, gu, f_u, d, lam, j_cur, eps2, must_lower):
         """Halve lam until u + lam d, or its ray minimizer, does not raise the
-        energy at eps2; trials are priced from the gradients of u and d. The
-        accepted (point, lam), or None after 40 halvings or, if must_lower,
-        when it does not lower the energy (passed by rounding alone)."""
+        energy at eps2; trials are priced from the gradients of u and d and
+        from f_u = b.u. The accepted (point, lam), or None after 40 halvings
+        or, if must_lower, when it does not lower the energy (passed by
+        rounding alone)."""
         nonlocal trials
-        gd = mesh.gradient_field(d)
-        f_u, f_d = float(load @ u), float(load @ d)
+        f_d = float(load @ d)
         with np.errstate(over="ignore"):
+            gd = mesh.gradient_field(d)
             for _ in range(40):
                 trials += 1
                 gc = gu + lam * gd
-                j_c, s = _ray_priced(mesh, np.einsum("mj,mj->m", gc, gc), f_u + lam * f_d, p, eps2)
+                j_c, s = _ray_priced(mesh, _squares(gc), f_u + lam * f_d, p, eps2)
                 if j_c <= j_cur + 1e-12 * abs(j_cur):
                     break
                 lam *= 0.5
@@ -660,9 +675,9 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
     # each accepted point: updated along with u, they would drift
     gu = mesh.gradient_field(u)
     with np.errstate(over="ignore"):
-        s = _ray_priced(mesh, np.einsum("mj,mj->m", gu, gu), float(load @ u), p, 0.0)[1]
-    u, gu = u * s, gu * s
-    g = np.einsum("mj,mj->m", gu, gu)
+        s = _ray_priced(mesh, _squares(gu), float(load @ u), p, 0.0)[1]
+        u, gu = u * s, gu * s
+        g = _squares(gu)
     trace: list = []
     converged = False
     lam0 = 1.0  # first trial of the next search
@@ -683,7 +698,7 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
             if d is not None:
                 iterations += 1
                 newton_steps += 1
-                accepted = search(u, gu, d, lam0, j_cur, eps2, li == last)
+                accepted = search(u, gu, f, d, lam0, j_cur, eps2, li == last)
             newton = accepted is not None
             if not newton:
                 if iterations >= MAX_ITERS:
@@ -691,16 +706,16 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
                 iterations += 1
                 lagged_steps += 1
                 d = lagged_point(g, eps2) - u
-                accepted = search(u, gu, d, lam0, j_cur, eps2, li == last)
+                accepted = search(u, gu, f, d, lam0, j_cur, eps2, li == last)
             if accepted is None:
                 converged = li == last  # stationary to float precision
                 break
             u, lam = accepted
             lam0 = 1.0 if lam == lam0 else min(1.0, 2.0 * lam)
-            gu = mesh.gradient_field(u)
-            g = np.einsum("mj,mj->m", gu, gu)
             f = float(load @ u)
             with np.errstate(over="ignore"):
+                gu = mesh.gradient_field(u)
+                g = _squares(gu)
                 j_prev, j_cur = j_cur, _energy(mesh, g, f, p, eps2)
             rel_dec = (j_prev - j_cur) / max(abs(j_cur), 1e-300)
             trace.append((li, j_cur))

@@ -145,6 +145,14 @@ def _band_to_dense(a):
     return out
 
 
+def _unit_blocks(mesh):
+    """(M, 3, 3) unit-weight stiffness blocks area * grad phi_i . grad phi_j,
+    formed whole from mesh.grads."""
+    g = mesh.grads
+    dots = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
+    return mesh.areas[:, None, None] * dots
+
+
 def _assert_matches_reference(a, blocks, mesh, label, block_mags=None):
     ref, mag, pattern = _dense_reference(mesh, blocks, block_mags)
     assert a.nnz == np.count_nonzero(pattern), label
@@ -166,19 +174,19 @@ def test_band_assembly_matches_dense_reference():
             m = mesh.n_triangles
             w = np.exp(5.0 * rng.standard_normal(m))
             for weights in (w, np.zeros(m)):
-                blocks = mesh.k_local * weights[:, None, None]
+                blocks = _unit_blocks(mesh) * weights[:, None, None]
                 _assert_matches_reference(mesh.stiffness(weights), blocks, mesh, (poly, lvl))
             u = mesh.boundary_node_distances * (1.0 + rng.random(mesh.n_nodes))
             u[mesh.boundary_mask] = 0.0
             g = mesh.gradient_squares(u)
-            gu = np.einsum("mi,mij->mj", u[mesh.triangles], mesh.grads)
-            q = np.einsum("mj,mij->mi", gu, mesh.grads)
+            gu = np.einsum("mi,mij->jm", u[mesh.triangles], mesh.grads)  # (2, M)
+            q = np.einsum("jm,mij->mi", gu, mesh.grads)
             for p in (1.05, 3.0, 32.0):
                 for eps_rel in (1e-2, 1e-10):
                     eps2 = eps_rel * eps_rel * float(g.max())
                     w = (g + eps2) ** ((p - 2.0) / 2.0)
                     c = (p - 2.0) * (g + eps2) ** ((p - 4.0) / 2.0)
-                    k_w = w[:, None, None] * mesh.k_local
+                    k_w = w[:, None, None] * _unit_blocks(mesh)
                     k_c = (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
                     label = (poly, lvl, p, eps_rel)
                     hess, grad = mesh.energy_hessian(gu, g, p, eps2)
@@ -193,25 +201,28 @@ def test_band_assembly_matches_dense_reference():
 
 
 def _block_band(mesh, blocks):
-    """Band array of (M, 3, 3) blocks by the scatter that assembled whole
-    blocks: the kept lower-triangle entries in block order, summed by one
-    np.bincount in the plan's RCM order."""
-    perm, kd = mesh._band_plan[5:7]
+    """Band array of (M, 3, 3) blocks: the six lower local pairs (i, j),
+    i >= j, of whole blocks, in pair order, that couple two interior nodes,
+    summed by one np.bincount in the plan's RCM order."""
+    perm, kd = mesh._band_plan[4:6]
     ni = len(perm)
     imap = np.full(mesh.n_nodes, -1)
     imap[mesh.interior_index] = np.argsort(perm)
     ti = imap[mesh.triangles]
-    rows = np.broadcast_to(ti[:, :, None], blocks.shape).ravel()
-    cols = np.broadcast_to(ti[:, None, :], blocks.shape).ravel()
-    kept = np.flatnonzero((rows >= 0) & (cols >= 0) & (rows >= cols))
-    slot = rows[kept] - cols[kept] + (kd + 1) * cols[kept]
-    data = np.bincount(slot, weights=blocks.ravel()[kept], minlength=(kd + 1) * ni)
+    pi, pj = ptorsion.PAIR_I, ptorsion.PAIR_J
+    rows, cols = ti[:, pi].T.ravel(), ti[:, pj].T.ravel()  # pair-major
+    kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+    lo, hi = np.minimum(rows[kept], cols[kept]), np.maximum(rows[kept], cols[kept])
+    slot = hi - lo + (kd + 1) * lo
+    values = blocks[:, pi, pj].T.ravel()[kept]
+    data = np.bincount(slot, weights=values, minlength=(kd + 1) * ni)
     return data.reshape(ni, kd + 1).T
 
 
 def test_band_entries_match_block_assembly_bitwise():
-    # the plan prices only the kept band entries, in the order and with the
-    # operations (w k + (c a q_i) q_j for the Hessian) of whole-block assembly
+    # the plan prices the six lower pairs of each block, in pair order and
+    # with the operations (w k + (c a q_i) q_j for the Hessian) of whole-block
+    # assembly, and sums those that couple two interior nodes
     rng = np.random.default_rng(8)
     for poly in (SQUARE, random_convex_polygon(0)):
         mesh = triangulate(poly, default_h0(poly))
@@ -221,22 +232,51 @@ def test_band_entries_match_block_assembly_bitwise():
             m = mesh.n_triangles
             w = np.exp(5.0 * rng.standard_normal(m))
             for weights in (w, np.zeros(m)):
-                blocks = mesh.k_local * weights[:, None, None]
+                blocks = _unit_blocks(mesh) * weights[:, None, None]
                 assert mesh.stiffness(weights).ab.tobytes() == _block_band(mesh, blocks).tobytes()
             u = mesh.boundary_node_distances * (1.0 + rng.random(mesh.n_nodes))
             u[mesh.boundary_mask] = 0.0
             gu = mesh.gradient_field(u)
-            g = np.einsum("mj,mj->m", gu, gu)
-            q = np.einsum("mj,mij->mi", gu, mesh.grads)
+            g = mesh.gradient_squares(u)
+            q = gu[0][:, None] * mesh.grads[:, :, 0] + gu[1][:, None] * mesh.grads[:, :, 1]
             for p in (1.05, 3.0, 32.0):
                 for eps_rel in (1e-2, 1e-10):
                     eps2 = eps_rel * eps_rel * float(g.max())
                     w = (g + eps2) ** ((p - 2.0) / 2.0)
                     c = (p - 2.0) * w / (g + eps2)
-                    blocks = w[:, None, None] * mesh.k_local
+                    blocks = w[:, None, None] * _unit_blocks(mesh)
                     blocks += (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
                     hess, _ = mesh.energy_hessian(gu, g, p, eps2)
                     assert hess.ab.tobytes() == _block_band(mesh, blocks).tobytes(), (p, eps_rel)
+
+
+def test_gradient_kernels_match_the_einsum_forms():
+    # the component-major gradient and its squares against the per-triangle
+    # einsum contractions: within 4 ulp of the terms summed, and inf where
+    # the squares overflow
+    rng = np.random.default_rng(10)
+    overflowed = 0
+    for poly in (SQUARE, random_convex_polygon(0)):
+        mesh = triangulate(poly, default_h0(poly))
+        for lvl in range(3):
+            if lvl:
+                mesh = refine(mesh)
+            for size in (1.0, 3e152):  # at 3e152 some squares overflow
+                u = size * rng.standard_normal(mesh.n_nodes)
+                gu_ref = np.einsum("mi,mij->jm", u[mesh.triangles], mesh.grads)
+                terms = np.einsum("mi,mij->jm", np.abs(u[mesh.triangles]), np.abs(mesh.grads))
+                with np.errstate(over="ignore"):
+                    g_ref = np.einsum("jm,jm->m", gu_ref, gu_ref)
+                gu, g = mesh.gradient_field(u), mesh.gradient_squares(u)
+                label = (poly, lvl, size)
+                assert gu.shape == (2, mesh.n_triangles), label
+                assert np.all(np.abs(gu - gu_ref) <= 4 * np.spacing(terms)), label
+                inf = np.isinf(g_ref)
+                assert np.array_equal(np.isinf(g), inf), label
+                fin = ~inf
+                assert np.all(np.abs(g[fin] - g_ref[fin]) <= 4 * np.spacing(g_ref[fin])), label
+                overflowed += int(inf.sum())
+    assert overflowed > 0
 
 
 def test_band_solve_matches_dense_solve():
@@ -584,11 +624,11 @@ def test_mesh_cache_entry_dropped_with_polygon():
 def test_shared_mesh_arrays_are_read_only():
     mesh = rigidity_with_refinement(SQUARE, 3.0, levels=2, h0=0.25).solution.mesh
     arrays = [
-        mesh.nodes, mesh.triangles, mesh.boundary_mask, mesh.areas, mesh.grads, mesh.k_local,
+        mesh.nodes, mesh.triangles, mesh.boundary_mask, mesh.areas, mesh.grads,
         mesh.load_vector, mesh.interior_index, mesh.boundary_node_distances, mesh.parent_edges,
     ]
     arrays += [a for a in mesh._band_plan if isinstance(a, np.ndarray)]
-    assert len(arrays) == 16
+    assert len(arrays) == 14
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = a.flat[0]
