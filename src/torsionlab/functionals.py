@@ -232,9 +232,6 @@ class ShapeReport:
         this name."""
         return self.rigidity
 
-    def all_passed(self) -> bool:
-        return all(v.passed for e in self.rigidity for v in e.verdicts)
-
 
 CSV_COLUMNS = [
     "shape_id",

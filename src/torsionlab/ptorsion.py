@@ -32,7 +32,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.spatial import ConvexHull, Delaunay
+from scipy.spatial import Delaunay
 
 from .errors import ConvergenceError, MeshResourceError
 from .geometry import ConvexPolygon
@@ -124,12 +124,6 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    @property
-    def grads(self) -> np.ndarray:
-        """(M, 3, 2) gradients of the three barycentric basis functions: a
-        read-only transposed view of the plan's G."""
-        return self._band_plan[0].transpose(2, 1, 0)
 
     @cached_property
     def load_vector(self) -> np.ndarray:
@@ -239,15 +233,6 @@ class Mesh:
         they overflow."""
         with np.errstate(over="ignore"):
             return _squares(self.gradient_field(u))
-
-    @cached_property
-    def boundary_node_distances(self) -> np.ndarray:
-        """(N,) distance from each node to the boundary: the boundary nodes
-        of a convex polygon's mesh span the polygon, so this is the distance
-        to the convex hull of the boundary nodes."""
-        hull = ConvexHull(self.nodes[self.boundary_mask])
-        hull_poly = ConvexPolygon(hull.points[hull.vertices], validate=False)
-        return _frozen(hull_poly.boundary_distances(self.nodes))
 
     def to_json_dict(self) -> dict:
         return {
@@ -493,21 +478,20 @@ POWER_FLOOR = 1e-300
 # Iteration budget of one solve, over all eps levels.
 MAX_ITERS = 500
 # At or below this p, a refined level of a refinement study starts from the
-# prolonged coarse solution (nested iteration); above it, from
-# solve_p_torsion's own start. Against the distance start, prolonged starts
-# took more iterations above it over three levels of random polygons
-# (539 -> 651 at p = 10, 753 -> 1020 at p = 32).
+# prolonged coarse solution (nested iteration); above it, from cold_start.
+# Over four levels of ten model shapes (six random polygons, the square, the
+# 64-gon, the 4:1 and 10:1 ellipses), the prolonged start took 274 against
+# 348 iterations at p = 1.5 and about 15% less time at p = 2.5 to 5 for
+# about as many; at p = 8 both took the same time, and at p = 10 and 16
+# cold_start took fewer iterations (263 against 313 at p = 10) and less time.
 NESTED_START_P_MAX = 8.0
 
 
 @dataclass
 class TorsionSolution:
     """Discrete p-torsion function and its integral on one mesh. iterations
-    is newton_steps + lagged_steps, the steps tried, plus 1 for the linear
-    solve of the p = 2 start, which only a solve at p < 2 without a given
-    start makes (a given start or the distance start costs none). At p = 2
-    it is 1, the linear solve. backtracks counts the line-search trials
-    rejected."""
+    is newton_steps + lagged_steps, the steps tried; at p = 2 it is 1, the
+    linear solve. backtracks counts the line-search trials rejected."""
 
     mesh: Mesh
     p: float
@@ -567,37 +551,34 @@ def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
     return j, 1.0
 
 
-def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> TorsionSolution:
+def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray) -> TorsionSolution:
     """Minimize the discrete p-torsion energy by Newton steps along a
     continuation in the regularization, with lagged diffusivity as fallback.
 
-    It starts from `start` (nodal values; boundary values are taken as 0)
-    when one is given, which costs no linear solve; else from the distance
-    to the boundary for p > 2 (the limit of the minimizers as p grows),
-    else from the p = 2 solution. The start is priced as every line-search
-    trial and the end are, by _ray_priced without regularization: it moves
-    to its ray minimizer unless that raises the energy. At p = 2 the solve
-    is one linear solve and `start` is not used. At each level of
-    EPS_LEVELS, eps = eps_rel * max |grad u| for the current iterate. Each
-    step tries the Newton direction of the regularized energy first and the
-    lagged (Kacanov) step only where Newton is rejected; either goes through
-    one halving line search, against the ray minimizer of each trial point,
-    and must not raise the energy. A search starts at lam = 1 after a search
-    that accepted its first trial, and at min(1, 2 lam) after one that
-    backtracked to lam (a search that accepts nothing leaves this start as
-    it was). A level ends on a step that lowers the energy by less than
-    TOL_LAGGED; when that is its first step and a full (lam = 1) Newton
-    step, the last level comes next. On the last level a step must lower
-    the energy. It converges on a full step that lowers the energy by less
-    than TOL_NEWTON, or when both kinds of step are rejected (the
-    floating-point floor). A converged u with nodes below 0 offers
-    max(u, 0) as one more candidate, priced like the end, and takes it
-    unless it raises the energy. A solve that has not converged after
+    It starts from `start` (nodal values; boundary values are taken as 0),
+    such as cold_start or a coarser solution prolonged. The start is priced
+    as every line-search trial and the end are, by _ray_priced without
+    regularization: it moves to its ray minimizer unless that raises the
+    energy. At p = 2 the solve is one linear solve and `start` is not used.
+    At each level of EPS_LEVELS, eps = eps_rel * max |grad u| for the
+    current iterate. Each step tries the Newton direction of the regularized
+    energy first and the lagged (Kacanov) step only where Newton is
+    rejected; either goes through one halving line search, against the ray
+    minimizer of each trial point, and must not raise the energy. A search
+    starts at lam = 1 after a search that accepted its first trial, and at
+    min(1, 2 lam) after one that backtracked to lam (a search that accepts
+    nothing leaves this start as it was). A level ends on a step that lowers
+    the energy by less than TOL_LAGGED; when that is its first step and a
+    full (lam = 1) Newton step, the last level comes next. On the last level
+    a step must lower the energy. It converges on a full step that lowers
+    the energy by less than TOL_NEWTON, or when both kinds of step are
+    rejected (the floating-point floor). A converged u with nodes below 0
+    offers max(u, 0) as one more candidate, priced like the end, and takes
+    it unless it raises the energy. A solve that has not converged after
     MAX_ITERS iterations, over all levels, raises ConvergenceError carrying
     its last iterate.
     """
-    if not (1.0 < p <= P_MAX_SUPPORTED):
-        raise ValueError(f"p must lie in (1, {P_MAX_SUPPORTED}], got {p}")
+    _check_p(p)
     interior = mesh.interior_index
     if interior.size == 0:
         raise MeshResourceError("mesh has no interior nodes; decrease h_target")
@@ -621,17 +602,9 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
         e2 = _energy(mesh, mesh.gradient_squares(u), t_p, p, 0.0)
         return _checked(TorsionSolution(mesh, p, u, t_p, e2, 1, True, [(0, e2)]))
 
-    iterations = 0
-    if start is not None:
-        u = np.array(start, dtype=float)
-        u[mesh.boundary_mask] = 0.0
-    elif p > 2.0:
-        u = mesh.boundary_node_distances.copy()
-        u[mesh.boundary_mask] = 0.0
-    else:
-        u = linear_solve(np.ones(mesh.n_triangles))
-        iterations = 1
-    trials = 0
+    u = np.array(start, dtype=float)
+    u[mesh.boundary_mask] = 0.0
+    iterations = trials = 0
 
     def search(u, gu, f_u, d, lam, j_cur, eps2, must_lower):
         """Halve lam until u + lam d, or its ray minimizer, does not raise the
@@ -757,6 +730,11 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray | None = None) -> To
     return _checked(sol)
 
 
+def _check_p(p: float) -> None:
+    if not (1.0 < p <= P_MAX_SUPPORTED):
+        raise ValueError(f"p must lie in (1, {P_MAX_SUPPORTED}], got {p}")
+
+
 def _checked(sol: TorsionSolution) -> TorsionSolution:
     u_max = float(sol.u.max())
     if u_max <= 0.0 or sol.t_p <= 0.0:
@@ -779,6 +757,18 @@ def _checked(sol: TorsionSolution) -> TorsionSolution:
 def default_h0(poly: ConvexPolygon) -> float:
     """Base mesh size: fine enough for interior structure at any aspect ratio."""
     return min(math.sqrt(poly.area) / 4.0, poly.inradius / 1.5)
+
+
+def cold_start(poly: ConvexPolygon, mesh: Mesh, p: float) -> np.ndarray:
+    """(N,) start for a solve of p on a mesh of poly with no solution to
+    start from: the disk's p-torsion function c (R^p' - r^p'), p' = p/(p - 1),
+    written in the boundary distance d and the inradius R, up to scale,
+    1 - (1 - d/R)_+^p', and 0 on the boundary. It is the disk's parabola at
+    p = 2 and tends to d/R as p grows; ray pricing picks its scale."""
+    d = poly.boundary_distances(mesh.nodes) / poly.inradius
+    u = 1.0 - np.maximum(1.0 - d, 0.0) ** (p / (p - 1.0))
+    u[mesh.boundary_mask] = 0.0
+    return u
 
 
 @dataclass
@@ -826,11 +816,11 @@ def rigidity_with_refinement(
 
     For p <= NESTED_START_P_MAX each refined level starts from the coarser
     level's solution, interpolated at edge midpoints (nested iteration). The
-    base level, and every level for larger p, where the distance start needs
-    fewer iterations, take solve_p_torsion's own start: the distance to the
-    boundary for p > 2, the p = 2 solution for p < 2. On nested meshes T_p
-    grows with the level, and equal T_p on the two finest levels, which
-    would give a zero error estimate, raise ConvergenceError.
+    base level, and every level for larger p, start from cold_start. A p
+    outside (1, P_MAX_SUPPORTED] raises ValueError before any mesh or start
+    is built. On nested meshes T_p grows with the level, and equal T_p on
+    the two finest levels, which would give a zero error estimate, raise
+    ConvergenceError.
     The error estimate is the difference of the two finest levels; the
     empirical convergence order comes from the last three levels when
     available (clamped to [0.5, 4]).
@@ -838,6 +828,7 @@ def rigidity_with_refinement(
     every p solved on the same polygon reuses them, with their FEM arrays
     and band plans, and est.solution.mesh is one of them.
     """
+    _check_p(p)
     if levels < 2:
         raise ValueError("refinement study needs levels >= 2")
     if h0 is None:
@@ -846,7 +837,10 @@ def rigidity_with_refinement(
     iterations = 0
     sol = None
     for mesh in _nested_meshes(poly, h0, levels):
-        start = mesh.prolong(sol.u) if sol is not None and p <= NESTED_START_P_MAX else None
+        if sol is not None and p <= NESTED_START_P_MAX:
+            start = mesh.prolong(sol.u)
+        else:
+            start = cold_start(poly, mesh, p)
         sol = solve_p_torsion(mesh, p, start=start)
         values.append(sol.t_p)
         iterations += sol.iterations

@@ -424,7 +424,7 @@ def test_sweep_partly_failed_rows_on_stderr(capsys, monkeypatch):
     # sweep without failures; stderr names the failed row.
     solve = ptorsion.solve_p_torsion
 
-    def stalled(mesh, p, start=None):
+    def stalled(mesh, p, start):
         sol = solve(mesh, p, start=start)
         if p == 3.0:
             sol.t_p = 1.0

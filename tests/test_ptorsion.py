@@ -23,6 +23,7 @@ from torsionlab.functionals import build_shape_report
 from torsionlab.ptorsion import (
     Mesh,
     _ray_priced,
+    cold_start,
     default_h0,
     refine,
     rigidity_with_refinement,
@@ -99,18 +100,6 @@ def test_mesh_rejects_inverted_triangles():
         Mesh(nodes, tris, boundary)
 
 
-def test_boundary_node_distances_match_polygon():
-    # the convex hull of a mesh's boundary nodes is the polygon itself
-    shapes = [SQUARE, make_regular_ngon(64, 1.0), make_ellipse_polygon(1000.0, 1.0, 128)]
-    shapes += [random_convex_polygon([1, i]) for i in range(5)]
-    for poly in shapes:
-        coarse = triangulate(poly, default_h0(poly))
-        for mesh in (coarse, refine(coarse)):
-            expected = poly.boundary_distances(mesh.nodes)
-            err = np.max(np.abs(mesh.boundary_node_distances - expected))
-            assert err <= 1e-13 * np.max(expected), (poly, mesh.n_nodes, err)
-
-
 def _dense_reference(mesh, blocks, block_mags=None):
     """Interior-reduced dense matrix from (M, 3, 3) blocks, summed by np.add.at,
     with the sum of the terms' magnitudes (block_mags, default |blocks|) and
@@ -145,10 +134,16 @@ def _band_to_dense(a):
     return out
 
 
+def _grads(mesh):
+    """(M, 3, 2) gradients of the three barycentric basis functions: the
+    plan's (2, 3, M) G, transposed."""
+    return mesh._band_plan[0].transpose(2, 1, 0)
+
+
 def _unit_blocks(mesh):
     """(M, 3, 3) unit-weight stiffness blocks area * grad phi_i . grad phi_j,
-    formed whole from mesh.grads."""
-    g = mesh.grads
+    formed whole from the plan's G."""
+    g = _grads(mesh)
     dots = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
     return mesh.areas[:, None, None] * dots
 
@@ -176,11 +171,11 @@ def test_band_assembly_matches_dense_reference():
             for weights in (w, np.zeros(m)):
                 blocks = _unit_blocks(mesh) * weights[:, None, None]
                 _assert_matches_reference(mesh.stiffness(weights), blocks, mesh, (poly, lvl))
-            u = mesh.boundary_node_distances * (1.0 + rng.random(mesh.n_nodes))
+            u = poly.boundary_distances(mesh.nodes) * (1.0 + rng.random(mesh.n_nodes))
             u[mesh.boundary_mask] = 0.0
             g = mesh.gradient_squares(u)
-            gu = np.einsum("mi,mij->jm", u[mesh.triangles], mesh.grads)  # (2, M)
-            q = np.einsum("jm,mij->mi", gu, mesh.grads)
+            gu = np.einsum("mi,mij->jm", u[mesh.triangles], _grads(mesh))  # (2, M)
+            q = np.einsum("jm,mij->mi", gu, _grads(mesh))
             for p in (1.05, 3.0, 32.0):
                 for eps_rel in (1e-2, 1e-10):
                     eps2 = eps_rel * eps_rel * float(g.max())
@@ -234,11 +229,12 @@ def test_band_entries_match_block_assembly_bitwise():
             for weights in (w, np.zeros(m)):
                 blocks = _unit_blocks(mesh) * weights[:, None, None]
                 assert mesh.stiffness(weights).ab.tobytes() == _block_band(mesh, blocks).tobytes()
-            u = mesh.boundary_node_distances * (1.0 + rng.random(mesh.n_nodes))
+            u = poly.boundary_distances(mesh.nodes) * (1.0 + rng.random(mesh.n_nodes))
             u[mesh.boundary_mask] = 0.0
             gu = mesh.gradient_field(u)
             g = mesh.gradient_squares(u)
-            q = gu[0][:, None] * mesh.grads[:, :, 0] + gu[1][:, None] * mesh.grads[:, :, 1]
+            grads = _grads(mesh)
+            q = gu[0][:, None] * grads[:, :, 0] + gu[1][:, None] * grads[:, :, 1]
             for p in (1.05, 3.0, 32.0):
                 for eps_rel in (1e-2, 1e-10):
                     eps2 = eps_rel * eps_rel * float(g.max())
@@ -263,8 +259,8 @@ def test_gradient_kernels_match_the_einsum_forms():
                 mesh = refine(mesh)
             for size in (1.0, 3e152):  # at 3e152 some squares overflow
                 u = size * rng.standard_normal(mesh.n_nodes)
-                gu_ref = np.einsum("mi,mij->jm", u[mesh.triangles], mesh.grads)
-                terms = np.einsum("mi,mij->jm", np.abs(u[mesh.triangles]), np.abs(mesh.grads))
+                gu_ref = np.einsum("mi,mij->jm", u[mesh.triangles], _grads(mesh))
+                terms = np.einsum("mi,mij->jm", np.abs(u[mesh.triangles]), np.abs(_grads(mesh)))
                 with np.errstate(over="ignore"):
                     g_ref = np.einsum("jm,jm->m", gu_ref, gu_ref)
                 gu, g = mesh.gradient_field(u), mesh.gradient_squares(u)
@@ -306,25 +302,27 @@ def test_band_budget_raises(monkeypatch):
     mesh = triangulate(SQUARE, 0.05)
     with pytest.raises(MeshResourceError):
         mesh.stiffness(np.ones(mesh.n_triangles))
+    mesh = triangulate(SQUARE, 0.05)
     with pytest.raises(MeshResourceError):
-        solve_p_torsion(triangulate(SQUARE, 0.05), 3.0)
+        solve_p_torsion(mesh, 3.0, cold_start(SQUARE, mesh, 3.0))
 
 
 def test_failed_linear_solve_is_a_convergence_error(monkeypatch):
-    # a start or lagged solve that LAPACK rejects never ends as "converged"
+    # a linear solve that LAPACK rejects never ends as "converged"
     def not_positive_definite(a, rhs):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(ptorsion, "spsolve", not_positive_definite)
     mesh = triangulate(SQUARE, 0.2)
-    for p in (2.0, 3.0, 16.0):  # p = 2, the p = 2 start, a lagged step
+    for p in (2.0, 3.0, 16.0):  # p = 2; lagged steps after rejected Newton steps
         with pytest.raises(ConvergenceError):
-            solve_p_torsion(mesh, p)
+            solve_p_torsion(mesh, p, cold_start(SQUARE, mesh, p))
 
 
 def test_rejected_newton_solve_falls_back_to_lagged_steps(monkeypatch):
     mesh = triangulate(SQUARE, 0.2)
-    ref = solve_p_torsion(mesh, 3.0)
+    start = cold_start(SQUARE, mesh, 3.0)
+    ref = solve_p_torsion(mesh, 3.0, start)
     hessian = Mesh.energy_hessian
 
     def indefinite_hessian(self, gu, g, p, eps2):
@@ -333,14 +331,14 @@ def test_rejected_newton_solve_falls_back_to_lagged_steps(monkeypatch):
         return hess, grad
 
     monkeypatch.setattr(Mesh, "energy_hessian", indefinite_hessian)
-    sol = solve_p_torsion(mesh, 3.0)
+    sol = solve_p_torsion(mesh, 3.0, start)
     assert sol.converged and abs(sol.t_p - ref.t_p) <= 1e-5 * ref.t_p
 
 
 def test_ray_rescaling_branches():
     # dyadic node coordinates: the gradient of a constant is exactly zero
     mesh = triangulate(SQUARE, 0.125)
-    d = mesh.boundary_node_distances.copy()
+    d = SQUARE.boundary_distances(mesh.nodes)
     d[mesh.boundary_mask] = 0.0
 
     def ray_scale(m, v, p):
@@ -370,8 +368,9 @@ def test_ray_rescaling_branches():
     f, e = b_dot_and_energy(d, 1.001)
     assert math.log(f / e) / 0.001 < -700.0
     assert ray_scale(mesh, d, 1.001) == math.exp(-700.0)
-    big = triangulate(scale(SQUARE, 1000.0), 100.0)
-    d_big = big.boundary_node_distances.copy()
+    big_square = scale(SQUARE, 1000.0)
+    big = triangulate(big_square, 100.0)
+    d_big = big_square.boundary_distances(big.nodes)
     d_big[big.boundary_mask] = 0.0
     f = big.load_vector @ d_big
     e = np.sum(big.areas * big.gradient_squares(d_big) ** 0.5005)
@@ -434,7 +433,7 @@ def test_fused_ray_pricing_matches_the_composition_bitwise():
                         assert np.array(fused).tobytes() == np.array(composed).tobytes(), label
     # the clamps were reached
     mesh = meshes[0]
-    g = mesh.gradient_squares(mesh.boundary_node_distances)
+    g = mesh.gradient_squares(SQUARE.boundary_distances(mesh.nodes))
     e_p = float(np.sum(mesh.areas * g ** 0.525))
     assert _ray_scale_composed(mesh, g, 1e-40 * e_p, 1.05) == math.exp(-700.0)
     assert _ray_scale_composed(mesh, g, 1e40 * e_p, 1.05) == math.exp(700.0)
@@ -464,7 +463,7 @@ def test_general_p_disk_matches_closed_form():
 
 def test_solution_bounds_and_boundary():
     mesh = triangulate(SQUARE, 0.1)
-    sol = solve_p_torsion(mesh, 3.0)
+    sol = solve_p_torsion(mesh, 3.0, cold_start(SQUARE, mesh, 3.0))
     assert sol.converged
     assert np.all(sol.u >= 0.0)
     assert np.all(sol.u[mesh.boundary_mask] == 0.0)
@@ -474,7 +473,7 @@ def test_solution_bounds_and_boundary():
 
 def test_energy_trace_decreases():
     mesh = triangulate(SQUARE, 0.1)
-    sol = solve_p_torsion(mesh, 5.0)
+    sol = solve_p_torsion(mesh, 5.0, cold_start(SQUARE, mesh, 5.0))
     energies = [e for _, e in sol.energy_trace]
     # continuation restarts can bump the energy; the end beats the start
     assert energies[-1] <= energies[0]
@@ -482,7 +481,8 @@ def test_energy_trace_decreases():
     # level (one regularized energy) no accepted step raises the energy
     for poly in (SQUARE, random_convex_polygon([0, 3])):
         for p in (1.05, 5.0, 32.0):
-            sol = solve_p_torsion(triangulate(poly, default_h0(poly)), p)
+            mesh = triangulate(poly, default_h0(poly))
+            sol = solve_p_torsion(mesh, p, cold_start(poly, mesh, p))
             assert sol.converged and sol.energy_trace
             for (lvl_a, e_a), (lvl_b, e_b) in zip(sol.energy_trace, sol.energy_trace[1:]):
                 if lvl_a == lvl_b:
@@ -526,16 +526,25 @@ def test_convergence_error_carries_solution(monkeypatch):
     monkeypatch.setattr(ptorsion, "MAX_ITERS", 2)
     mesh = triangulate(SQUARE, 0.15)
     with pytest.raises(ConvergenceError) as exc:
-        solve_p_torsion(mesh, 5.0)
+        solve_p_torsion(mesh, 5.0, cold_start(SQUARE, mesh, 5.0))
     assert exc.value.solution is not None
     assert exc.value.solution.converged is False
 
 
-def test_p_out_of_range_rejected():
+def test_p_out_of_range_rejected(monkeypatch):
+    # the refinement study rejects p before it builds a start
     mesh = triangulate(SQUARE, 0.2)
+    start = cold_start(SQUARE, mesh, 2.0)
+
+    def no_start(poly, mesh, p):
+        raise AssertionError(f"start built for p={p}")
+
+    monkeypatch.setattr(ptorsion, "cold_start", no_start)
     for bad in (1.0, 0.5, 33.0):
         with pytest.raises(ValueError):
-            solve_p_torsion(mesh, bad)
+            solve_p_torsion(mesh, bad, start)
+        with pytest.raises(ValueError):
+            rigidity_with_refinement(SQUARE, bad)
 
 
 def test_rigidity_estimate_error_and_slack():
@@ -624,11 +633,11 @@ def test_mesh_cache_entry_dropped_with_polygon():
 def test_shared_mesh_arrays_are_read_only():
     mesh = rigidity_with_refinement(SQUARE, 3.0, levels=2, h0=0.25).solution.mesh
     arrays = [
-        mesh.nodes, mesh.triangles, mesh.boundary_mask, mesh.areas, mesh.grads,
-        mesh.load_vector, mesh.interior_index, mesh.boundary_node_distances, mesh.parent_edges,
+        mesh.nodes, mesh.triangles, mesh.boundary_mask, mesh.areas, mesh.load_vector,
+        mesh.interior_index, mesh.parent_edges,
     ]
     arrays += [a for a in mesh._band_plan if isinstance(a, np.ndarray)]
-    assert len(arrays) == 14
+    assert len(arrays) == 12
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = a.flat[0]
@@ -655,9 +664,10 @@ def test_search_trials_gather_no_nodal_values(monkeypatch):
     monkeypatch.setattr(ptorsion, "_ray_priced", counting)
     mesh = triangulate(SQUARE, 0.1)
     for p in (1.05, 3.0, 32.0):
+        start = cold_start(SQUARE, mesh, p)
         inputs.clear()
         priced.clear()
-        sol = solve_p_torsion(mesh, p)
+        sol = solve_p_torsion(mesh, p, start)
         assert sol.converged
         searches = sol.newton_steps + sol.lagged_steps
         assert len(inputs) == 1 + searches + len(sol.energy_trace), p
@@ -687,28 +697,28 @@ def test_solves_reach_the_previous_loops_minima(monkeypatch):
     # T_p from the lagged-diffusivity loop with a final-level Newton polish
     # that the Newton-first loop replaced
     cases = [
-        (base, 1.05, 3.7005463386483285e-13),
-        (base, 3.0, 0.1372570735463853),
-        (base, 32.0, 0.2582454744937854),
-        (refine(base), 1.05, 2.115242249360976e-12),
-        (refine(base), 3.0, 0.1472303517919773),
-        (refine(base), 32.0, 0.2792180597263434),
-        (stall, 1.1, 1.2863187304161736e-06),
+        (poly, base, 1.05, 3.7005463386483285e-13),
+        (poly, base, 3.0, 0.1372570735463853),
+        (poly, base, 32.0, 0.2582454744937854),
+        (poly, refine(base), 1.05, 2.115242249360976e-12),
+        (poly, refine(base), 3.0, 0.1472303517919773),
+        (poly, refine(base), 32.0, 0.2792180597263434),
+        (poly_stall, stall, 1.1, 1.2863187304161736e-06),
     ]
 
     def energy(mesh, u, p):
         return np.sum(mesh.areas * mesh.gradient_squares(u) ** (p / 2.0)) / p - mesh.load_vector @ u
 
-    for mesh, p, t_ref in cases:
-        sol = solve_p_torsion(mesh, p)
+    for shape, mesh, p, t_ref in cases:
+        sol = solve_p_torsion(mesh, p, cold_start(shape, mesh, p))
         assert sol.converged
         assert np.isclose(sol.energy, energy(mesh, sol.u, p), rtol=1e-12, atol=0), p
         assert np.isclose(sol.t_p, t_ref, rtol=1e-8, atol=0), (mesh.n_nodes, p)
     # with every Newton step rejected, p = 3 takes lagged steps only
     monkeypatch.setattr(Mesh, "energy_hessian", lambda self, gu, g, p, eps2: None)
-    for mesh, p, t_ref in cases:
+    for shape, mesh, p, t_ref in cases:
         if p == 3.0:
-            sol = solve_p_torsion(mesh, p)
+            sol = solve_p_torsion(mesh, p, cold_start(shape, mesh, p))
             assert sol.converged and sol.lagged_steps > 100 and sol.newton_steps == 0
             assert np.isclose(sol.energy, energy(mesh, sol.u, p), rtol=1e-12, atol=0)
             assert np.isclose(sol.t_p, t_ref, rtol=1e-8, atol=0)
@@ -722,7 +732,7 @@ def test_nested_levels_start_from_the_prolonged_coarse_solution():
     for p in (1.05, 3.0):
         est = rigidity_with_refinement(poly, p, levels=3)
         meshes = ptorsion._nested_meshes(poly, default_h0(poly), 3)
-        sol = solve_p_torsion(meshes[0], p)
+        sol = solve_p_torsion(meshes[0], p, cold_start(poly, meshes[0], p))
         iterations = sol.iterations
         for fine in meshes[1:]:
             e = fine.parent_edges
@@ -741,38 +751,53 @@ def test_nested_levels_match_cold_solves():
         for p in (1.05, 1.5, 3.0, 8.0):
             est = rigidity_with_refinement(poly, p)
             for mesh, t_p in zip(meshes[1:], est.values[1:]):
-                cold = solve_p_torsion(mesh, p).t_p
+                cold = solve_p_torsion(mesh, p, cold_start(poly, mesh, p)).t_p
                 assert abs(t_p - cold) <= 1e-8 * cold, (p, mesh.n_nodes, t_p, cold)
 
 
-def test_cold_solves_above_p2_start_from_the_boundary_distance():
-    # the minimizers tend to the distance to the boundary as p grows; from
-    # that start a cold solve reaches the p = 2 start's T_p up to rounding
+def test_cold_solves_start_from_the_disk_profile():
+    # a refinement study's base level starts from cold_start, which costs no
+    # linear solve; from it a solve reaches the T_p of the two starts it
+    # replaced, the p = 2 solution and the distance to the boundary, up to
+    # rounding
     shapes = [SQUARE, make_regular_ngon(64, 1.0), make_ellipse_polygon(4.0, 1.0, 128)]
     shapes += [random_convex_polygon([0, i]) for i in range(4)]
     for poly in shapes:
         mesh = triangulate(poly, default_h0(poly))
-        u2 = solve_p_torsion(mesh, 2.0).u
-        for p in (2.5, 3.0, 5.0, 8.0):
-            cold = solve_p_torsion(mesh, p)
-            warm = solve_p_torsion(mesh, p, start=mesh.boundary_node_distances)
-            assert cold.u.tobytes() == warm.u.tobytes(), (poly, p)
-            assert cold.iterations == warm.iterations == cold.newton_steps + cold.lagged_steps
-            from_p2 = solve_p_torsion(mesh, p, start=u2).t_p
-            assert abs(cold.t_p - from_p2) <= 1e-10 * from_p2, (poly, p, cold.t_p, from_p2)
-    # below p = 2 a cold solve still starts from the p = 2 solution
-    cold = solve_p_torsion(mesh, 1.5)
-    warm = solve_p_torsion(mesh, 1.5, start=u2)
-    assert cold.u.tobytes() == warm.u.tobytes() and cold.iterations == warm.iterations + 1
+        u2 = solve_p_torsion(mesh, 2.0, cold_start(poly, mesh, 2.0)).u
+        distance = poly.boundary_distances(mesh.nodes)
+        for p in (1.5, 2.5, 3.0, 5.0, 8.0):
+            cold = solve_p_torsion(mesh, p, cold_start(poly, mesh, p))
+            assert cold.iterations == cold.newton_steps + cold.lagged_steps, (poly, p)
+            assert rigidity_with_refinement(poly, p, levels=2).values[0] == cold.t_p, (poly, p)
+            for start in (u2, distance):
+                t_p = solve_p_torsion(mesh, p, start).t_p
+                assert abs(cold.t_p - t_p) <= 1e-10 * t_p, (poly, p, cold.t_p, t_p)
+
+
+def test_cold_start_is_near_the_disk_minimizer():
+    # on the 64-gon, the best multiple of cold_start (its exponent p' =
+    # p/(p - 1)) holds at least 99% of the converged T_p at every p
+    poly = make_regular_ngon(64, 1.0)
+    mesh = ptorsion._nested_meshes(poly, default_h0(poly), 2)[1]
+    assert mesh.n_nodes == 265
+    for p in (1.05, 1.1, 1.5, 3.0, 8.0, 32.0):
+        u0 = cold_start(poly, mesh, p)
+        assert np.all(u0[mesh.boundary_mask] == 0.0)
+        s = _ray_priced(mesh, mesh.gradient_squares(u0), float(mesh.load_vector @ u0), p, 0.0)[1]
+        t_p = solve_p_torsion(mesh, p, u0).t_p
+        ratio = float(mesh.load_vector @ (s * u0)) / t_p
+        assert 0.99 <= ratio <= 1.0, (p, ratio)
 
 
 def test_large_p_levels_are_cold_solves():
-    # above p = 8 every level takes the distance start
+    # above p = 8 every level takes the cold start
     poly = random_convex_polygon([41, 2])
     meshes = ptorsion._nested_meshes(poly, default_h0(poly), 3)
     for p in (10.0, 32.0):
         est = rigidity_with_refinement(poly, p)
-        assert est.values == [solve_p_torsion(mesh, p).t_p for mesh in meshes], p
+        cold = [solve_p_torsion(mesh, p, cold_start(poly, mesh, p)).t_p for mesh in meshes]
+        assert est.values == cold, p
 
 
 def test_thin_ellipse_small_p_solve():
@@ -780,7 +805,7 @@ def test_thin_ellipse_small_p_solve():
     mesh = triangulate(poly, default_h0(poly))
     assert mesh.n_nodes == 14183
     for p in (1.05, 1.1):
-        sol = solve_p_torsion(mesh, p)
+        sol = solve_p_torsion(mesh, p, cold_start(poly, mesh, p))
         assert sol.converged and sol.u.min() >= 0.0, p
 
 
@@ -794,7 +819,7 @@ def test_truncation_that_raises_the_energy_is_not_kept(monkeypatch):
     gradient_squares = Mesh.gradient_squares
     monkeypatch.setattr(Mesh, "gradient_squares", lambda self, u: 4.0 * gradient_squares(self, u))
     with pytest.raises(ConvergenceError, match="discrete maximum principle violated") as info:
-        solve_p_torsion(mesh, 1.05)
+        solve_p_torsion(mesh, 1.05, cold_start(poly, mesh, 1.05))
     sol = info.value.solution
     assert sol.converged and sol.u.min() < 0.0
 
@@ -822,7 +847,7 @@ def test_each_search_starts_from_the_last_accepted_step(monkeypatch):
     monkeypatch.setattr(ptorsion, "_ray_priced", pricing)
     mesh = triangulate(SQUARE, 0.1)
     load = mesh.load_vector
-    sol = solve_p_torsion(mesh, 1.05)
+    sol = solve_p_torsion(mesh, 1.05, cold_start(SQUARE, mesh, 1.05))
     assert sol.converged
     events.pop()  # the end's pricing
     (kind0, start), (kind1, _, s0) = events[:2]
@@ -861,16 +886,16 @@ def test_final_energies_stay_at_the_fixed_start_searches_minima():
     poly_stall = random_convex_polygon([208, 2])
     stall = refine(triangulate(poly_stall, default_h0(poly_stall)))
     cases = [
-        (base, 1.05, -1.762164923383736e-14),
-        (base, 3.0, -0.0915047156952532),
-        (base, 32.0, -0.2501753034110096),
-        (refine(base), 1.05, -1.007258213863663e-13),
-        (refine(base), 3.0, -0.09815356786131818),
-        (refine(base), 32.0, -0.2704924953598953),
-        (stall, 1.1, -1.1693806643755023e-07),
+        (poly, base, 1.05, -1.762164923383736e-14),
+        (poly, base, 3.0, -0.0915047156952532),
+        (poly, base, 32.0, -0.2501753034110096),
+        (poly, refine(base), 1.05, -1.007258213863663e-13),
+        (poly, refine(base), 3.0, -0.09815356786131818),
+        (poly, refine(base), 32.0, -0.2704924953598953),
+        (poly_stall, stall, 1.1, -1.1693806643755023e-07),
     ]
-    for mesh, p, e_ref in cases:
-        sol = solve_p_torsion(mesh, p)
+    for shape, mesh, p, e_ref in cases:
+        sol = solve_p_torsion(mesh, p, cold_start(shape, mesh, p))
         assert sol.energy <= e_ref + 2.5e-10 * abs(e_ref), (mesh.n_nodes, p, sol.energy, e_ref)
 
 
@@ -879,7 +904,7 @@ def test_zero_refinement_difference_is_a_convergence_error(monkeypatch):
     # finest levels would give error_estimate = 0 and slack = 0
     solve = ptorsion.solve_p_torsion
 
-    def flat(mesh, p, start=None):
+    def flat(mesh, p, start):
         sol = solve(mesh, p, start=start)
         sol.t_p = 0.5
         return sol
