@@ -88,8 +88,9 @@ def p_to_one_trend(
         raise ValueError("p_list must be strictly decreasing")
     h = cheeger_constant(poly).h
     rows = []
+    est = None
     for p in ps:
-        est = rigidity_with_refinement(poly, p, levels=levels, h0=h0)
+        est = rigidity_with_refinement(poly, p, levels=levels, h0=h0, previous=est)
         t_norm = normalized_rigidity(est.t_p, poly.area, p)
         rows.append(SmallPRow(p, t_norm, abs(t_norm - h)))
     return SmallPTrend(rows=rows, cheeger_h=h, q1=poly.inradius * h)

@@ -204,8 +204,9 @@ def p_to_infinity_trend(
     delta = average_distance(poly)
     area = poly.area
     rows = []
+    est = None
     for p in p_list:
-        est = rigidity_with_refinement(poly, p, levels=levels, h0=h0)
+        est = rigidity_with_refinement(poly, p, levels=levels, h0=h0, previous=est)
         t_norm = normalized_rigidity(est.t_p, area, p)
         value = math.exp(math.log(t_norm) / p) * delta
         rows.append(LargePRow(p, value, abs(value - 1.0)))

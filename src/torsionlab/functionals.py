@@ -308,10 +308,11 @@ def build_shape_report(
         avg_boundary_distance=delta,
     )
     report = ShapeReport(shape_id, geometry, Limits(q_inf=r_in / delta))
+    est = None  # the last estimate made, from which the next p may continue
     for p in p_values:
         p = float(p)
         try:
-            est = rigidity_with_refinement(poly, p, levels=levels, h0=h0)
+            est = rigidity_with_refinement(poly, p, levels=levels, h0=h0, previous=est)
         except ConvergenceError as exc:
             if not capture_errors:
                 raise

@@ -18,9 +18,12 @@ from torsionlab import (
     random_convex_polygon,
     scale,
 )
-from torsionlab import ptorsion
+from torsionlab import cheeger, families, ptorsion
+from torsionlab.cheeger import p_to_one_trend
+from torsionlab.families import p_to_infinity_trend
 from torsionlab.functionals import build_shape_report
 from torsionlab.ptorsion import (
+    CONTINUATION_EPS_LEVEL,
     Mesh,
     _ray_priced,
     cold_start,
@@ -547,6 +550,14 @@ def test_p_out_of_range_rejected(monkeypatch):
             rigidity_with_refinement(SQUARE, bad)
 
 
+def test_first_eps_level_out_of_range_rejected():
+    mesh = triangulate(SQUARE, 0.2)
+    start = cold_start(SQUARE, mesh, 1.5)
+    for bad in (-1, len(ptorsion.EPS_LEVELS)):
+        with pytest.raises(ValueError, match="first_eps_level"):
+            solve_p_torsion(mesh, 1.5, start, first_eps_level=bad)
+
+
 def test_rigidity_estimate_error_and_slack():
     est = rigidity_with_refinement(SQUARE, 2.0, levels=3, h0=0.1)
     assert est.error_estimate > 0.0
@@ -641,6 +652,15 @@ def test_shared_mesh_arrays_are_read_only():
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = a.flat[0]
+
+
+def test_band_plan_indices_are_intp():
+    # take and bincount index with intp; indices of another type are cast on
+    # every call
+    mesh = triangulate(random_convex_polygon([41, 2]), 0.2)
+    tt, slot6 = mesh._band_plan[1], mesh._band_plan[3]
+    assert tt.dtype == slot6.dtype == np.intp
+    assert tt.flags.c_contiguous and np.array_equal(tt, mesh.triangles.T)
 
 
 def test_search_trials_gather_no_nodal_values(monkeypatch):
@@ -800,6 +820,79 @@ def test_large_p_levels_are_cold_solves():
         assert est.values == cold, p
 
 
+def test_continuation_in_p_follows_its_start_rule(monkeypatch):
+    # each level of a study continues from the previous p's solution on the
+    # same mesh toward p = 1 from p_prev <= 2, at eps index 2, and upward
+    # from p_prev >= 8, at index 0; any other previous estimate leaves every
+    # start and eps index as they are without one
+    calls = []
+    solve = ptorsion.solve_p_torsion
+
+    def recording(mesh, p, start, first_eps_level=0):
+        calls.append((mesh, np.array(start), first_eps_level))
+        return solve(mesh, p, start=start, first_eps_level=first_eps_level)
+
+    monkeypatch.setattr(ptorsion, "solve_p_torsion", recording)
+    poly = random_convex_polygon([7, 0])
+
+    def study(on, p, previous, levels=3, h0=None):
+        calls.clear()
+        est = rigidity_with_refinement(on, p, levels=levels, h0=h0, previous=previous)
+        return est, list(calls)
+
+    def continued(p_list, eps_level):
+        est = study(poly, p_list[0], None)[0]
+        for p in p_list[1:]:
+            previous = est
+            est, made = study(poly, p, previous)
+            assert [level for *_, level in made] == [eps_level] * 3, p
+            for (mesh, start, _), near in zip(made, previous.solutions):
+                assert mesh is near.mesh and np.array_equal(start, near.u), p
+
+    def never(p, previous, levels=3):
+        alone = study(poly, p, None, levels)[1]
+        after = study(poly, p, previous, levels)[1]
+        assert len(after) == len(alone) == levels, p
+        for (m1, s1, e1), (m2, s2, e2) in zip(alone, after):
+            assert m1 is m2 and e1 == e2 == 0 and np.array_equal(s1, s2), p
+
+    continued((1.2, 1.1, 1.05), CONTINUATION_EPS_LEVEL)
+    continued((8.0, 16.0, 32.0), 0)
+    corridor = (1.5, 2.0, 3.0, 5.0, 10.0)
+    previous = study(poly, corridor[0], None)[0]
+    for p in corridor[1:]:
+        never(p, previous)
+        previous = study(poly, p, previous)[0]
+    h0 = default_h0(poly)
+    never(1.1, study(ConvexPolygon(poly.vertices), 1.2, None)[0])
+    never(1.1, study(poly, 1.2, None, h0=0.9 * h0)[0])
+    never(1.1, study(poly, 1.2, None, levels=2)[0])
+    never(1.1, study(poly, 1.2, None)[0], levels=2)
+    never(16.0, study(poly, 8.0, None, levels=2)[0])
+
+
+def test_continued_trends_agree_with_standalone_studies(monkeypatch):
+    # continuation moves each trend's T_p only by where the solver's stop
+    # falls: far below the study's own error estimate
+    made = []
+
+    def recording(poly, p, levels=3, h0=None, previous=None):
+        est = rigidity_with_refinement(poly, p, levels=levels, h0=h0, previous=previous)
+        made.append((poly, p, previous is not None, est))
+        return est
+
+    monkeypatch.setattr(cheeger, "rigidity_with_refinement", recording)
+    monkeypatch.setattr(families, "rigidity_with_refinement", recording)
+    for i in range(4):
+        poly = random_convex_polygon([7, i])
+        p_to_one_trend(poly, (1.2, 1.1, 1.05), levels=3)
+        p_to_infinity_trend(poly, (8.0, 16.0, 32.0), levels=3)
+    assert [p for _, p, cont, _ in made if cont] == [1.1, 1.05, 16.0, 32.0] * 4
+    for poly, p, _, est in made:
+        alone = rigidity_with_refinement(ConvexPolygon(poly.vertices), p, levels=3)
+        assert abs(est.t_p - alone.t_p) <= 1e-6 * alone.error_estimate, (p, est.t_p, alone.t_p)
+
+
 def test_thin_ellipse_small_p_solve():
     poly = make_ellipse_polygon(1000.0, 1.0, 128)
     mesh = triangulate(poly, default_h0(poly))
@@ -904,8 +997,8 @@ def test_zero_refinement_difference_is_a_convergence_error(monkeypatch):
     # finest levels would give error_estimate = 0 and slack = 0
     solve = ptorsion.solve_p_torsion
 
-    def flat(mesh, p, start):
-        sol = solve(mesh, p, start=start)
+    def flat(mesh, p, start, first_eps_level=0):
+        sol = solve(mesh, p, start=start, first_eps_level=first_eps_level)
         sol.t_p = 0.5
         return sol
 
