@@ -5,8 +5,12 @@ J(u) = (1/p) int |grad u|^p - int u over mesh functions vanishing on the
 boundary, regularized as (1/p) int (|grad u|^2 + eps^2)^(p/2) with eps
 driven down a continuation schedule. Each step is a Newton step with
 a lagged-diffusivity step (weights (|grad u|^2 + eps^2)^((p-2)/2)) as
-fallback. Gradients of piecewise-linear functions are constant per
-triangle, so energies, weights and the torsion integral are all exact.
+fallback. Below p = PRIMAL_DUAL_P_MAX the Newton steps are primal-dual: the
+solve carries a per-triangle flux sigma, which replaces w grad u in one
+factor of the Hessian's rank-one term, so the step no longer overshoots by
+about 1/(p - 1) where |grad u| is below its target. Gradients of
+piecewise-linear functions are constant per triangle, so energies, weights
+and the torsion integral are all exact.
 Per-triangle arrays are component-major, the M triangles on the last axis:
 gradients are (2, M), and a matrix is priced as the (6, M) values of each
 triangle's six lower local pairs. Every linear system is symmetric positive
@@ -197,23 +201,46 @@ class Mesh:
         """Interior-reduced weighted stiffness matrix."""
         return self._assemble(weights * self._band_plan[2])
 
-    def energy_hessian(self, gu: np.ndarray, g: np.ndarray, p: float, eps2: float):
-        """(Hessian, gradient) of (1/p) int (|grad u|^2 + eps2)^(p/2) at the u
-        whose (2, M) per-triangle gradients are gu, with squares g,
-        interior-reduced; the gradient is K(w) u for the lagged weights w,
-        formed per triangle. None if the coefficients are not finite (wild
-        iterate): c = (p - 2) w / (g + eps2) is finite only where w is. An
-        entry that overflows still gets the Newton step rejected."""
+    def energy_hessian(self, gu: np.ndarray, g: np.ndarray, p: float, eps2: float, sigma=None):
+        """(Newton matrix, gradient) of (1/p) int (|grad u|^2 + eps2)^(p/2) at
+        the u whose (2, M) per-triangle gradients are gu, with squares g,
+        interior-reduced; the gradient is K(w) u for the lagged weights
+        w = (g + eps2)^((p - 2)/2), formed per triangle. The matrix is the
+        Hessian, a [w grad phi_i . grad phi_j + c q_i q_j] per triangle with
+        q_i = grad phi_i . grad u and c = (p - 2) w / (g + eps2). Given a (2, M)
+        flux sigma (primal-dual Newton), sigma is clipped in place to
+        |sigma|^2 <= w^2 (g + eps2), and c q_i q_j becomes h (r_i q_j + q_i r_j)
+        with r_i = grad phi_i . sigma and h = c / (2 w): the same at
+        sigma = w grad u, and for p < 2 each triangle's 2 x 2 tensor keeps its
+        smallest eigenvalue at or above (p - 1) w, so the matrix stays SPD.
+        None if the coefficients are not finite (wild iterate): c is finite
+        only where w is, and a non-finite sigma makes the values so. An entry
+        that overflows still gets the Newton step rejected."""
         G, tt, k6 = self._band_plan[:3]
         with np.errstate(over="ignore", invalid="ignore"):
             ge = g + eps2
             w = ge ** ((p - 2.0) / 2.0)
-            c = (p - 2.0) * w / ge
-            if not np.isfinite(c).all():
-                return None
             q = np.add.reduce(G * gu[:, None], axis=0)  # (3, M): grad phi_i . grad u
-            cq = c * self.areas * q
-            values = w * k6 + cq[PAIR_I] * q[PAIR_J]
+            if sigma is None:
+                c = (p - 2.0) * w / ge
+                if not np.isfinite(c).all():
+                    return None
+                cq = c * self.areas * q
+                values = w * k6 + cq[PAIR_I] * q[PAIR_J]
+            else:
+                ss, cap = _squares(sigma), w * w
+                cap *= ge
+                over = ss > cap
+                if over.any():
+                    sigma[:, over] *= np.sqrt(cap[over] / ss[over])
+                r = np.add.reduce(G * sigma[:, None], axis=0)
+                ha = np.divide(self.areas, ge)
+                ha *= 0.5 * (p - 2.0)
+                values = (ha * r)[PAIR_I] * q[PAIR_J]
+                values += (ha * q)[PAIR_I] * r[PAIR_J]
+                values += w * k6
+                if not np.isfinite(values).all():
+                    return None
             grad = (w * self.areas) * q
         grad = np.bincount(tt.ravel(), weights=grad.ravel(), minlength=self.n_nodes)
         return self._assemble(values), grad[self.interior_index]
@@ -491,6 +518,16 @@ NESTED_START_P_MAX = 8.0
 # solves at p = 1.05 took 25% fewer iterations than uncontinued ones from
 # 1e-4, 4% fewer from 1e-2 and 30% more from 1e-8.
 CONTINUATION_EPS_LEVEL = 2
+# Below this p, Newton steps are primal-dual (Chan, Golub and Mulet, SIAM J.
+# Sci. Comput. 20, 1999): each solve carries a per-triangle flux sigma from
+# step to step (see solve_p_torsion). A step then costs about 30 us more at
+# 860 triangles (a second cross term and the flux update), so the constant
+# is set where iterations stop falling. Primal-dual against primal steps,
+# levels-3 studies of random polygons, iterations (time): at p = 1.05 -49%
+# (-41%), 1.2 -21% (+1%), 1.3 -9% (+16%), 1.4 -2% (+23%), 1.45 +6% (+36%),
+# on 40 polygons of at most 470 nodes; -55% (-57%), -24% (-25%), -22% (-28%),
+# -13% (-27%) and +4% (+4%) on 8 polygons at levels 5 (6.4k-7.1k nodes).
+PRIMAL_DUAL_P_MAX = 1.45
 
 
 @dataclass
@@ -557,6 +594,32 @@ def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
     return j, 1.0
 
 
+def _flux_step(sigma, gu, gd, g, eps2, p, lam, s):
+    """(2, M) flux after an accepted Newton step u <- s (u + lam d), from the
+    flux sigma at u (None: the primal flux w gu). The full step solves the
+    flux relation (g + eps2)^((2 - p)/2) sigma = grad u linearized at
+    (u, sigma) in d, per triangle:
+    full = w (gu + gd) - ((2 - p)/(g + eps2)) (gu . gd) sigma, with
+    w = (g + eps2)^((p - 2)/2); the result is s^(p - 1) [(1 - lam) sigma +
+    lam full], s^(p - 1) scaling the flux of u to that of s u. gu and gd
+    are the gradients of u and d, g the squares of gu."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ge = g + eps2
+        w = ge ** ((p - 2.0) / 2.0)
+        if sigma is None:
+            sigma = w * gu
+        # s^(p-1) [(1 - lam) sigma + lam full] = coef sigma + c2 w (gu + gd)
+        c2 = s ** (p - 1.0) * lam
+        coef = np.add.reduce(gu * gd, axis=0)
+        coef *= (2.0 - p) * c2
+        coef /= ge
+        np.subtract(s ** (p - 1.0) - c2, coef, out=coef)
+        w *= c2
+        out = coef * sigma
+        out += w * (gu + gd)
+        return out
+
+
 def solve_p_torsion(
     mesh: Mesh, p: float, start: np.ndarray, first_eps_level: int = 0
 ) -> TorsionSolution:
@@ -572,18 +635,24 @@ def solve_p_torsion(
     the minimizer may skip the coarse ones), eps = eps_rel * max |grad u| for
     the current iterate. Each step tries the Newton direction of the regularized
     energy first and the lagged (Kacanov) step only where Newton is
-    rejected; either goes through one halving line search, against the ray
-    minimizer of each trial point, and must not raise the energy. A search
-    starts at lam = 1 after a search that accepted its first trial, and at
-    min(1, 2 lam) after one that backtracked to lam (a search that accepts
-    nothing leaves this start as it was). A level ends on a step that lowers
-    the energy by less than TOL_LAGGED; when that is its first step and a
-    full (lam = 1) Newton step, the last level comes next. On the last level
-    a step must lower the energy. It converges on a full step that lowers
-    the energy by less than TOL_NEWTON, or when both kinds of step are
-    rejected (the floating-point floor). A converged u with nodes below 0
-    offers max(u, 0) as one more candidate, priced like the end, and takes
-    it unless it raises the energy. A solve that has not converged after
+    rejected. For p < PRIMAL_DUAL_P_MAX the Newton steps are primal-dual: the
+    solve carries a per-triangle flux sigma for Mesh.energy_hessian, the
+    primal flux w grad u at the start and after a lagged step, moved by
+    _flux_step after each accepted Newton step and kept across eps levels;
+    the right-hand side stays the energy's gradient, so each direction still
+    descends the same energy. Either step goes through one halving line
+    search, against the ray minimizer of each trial point, and must not
+    raise the energy. A search starts at lam = 1 after a search that
+    accepted its first trial, and at min(1, 2 lam) after one that
+    backtracked to lam (a search that accepts nothing leaves this start as
+    it was). A level ends on a step that lowers the energy by less than
+    TOL_LAGGED; when that is its first step and a full (lam = 1) Newton
+    step, the last level comes next. On the last level a step must lower
+    the energy. It converges on a full step that lowers the energy by less
+    than TOL_NEWTON, or when both kinds of step are rejected (the
+    floating-point floor). A converged u with nodes below 0 offers
+    max(u, 0) as one more candidate, priced like the end, and takes it
+    unless it raises the energy. A solve that has not converged after
     MAX_ITERS iterations, over all levels, raises ConvergenceError carrying
     its last iterate.
     """
@@ -620,9 +689,9 @@ def solve_p_torsion(
     def search(u, gu, f_u, d, lam, j_cur, eps2, must_lower):
         """Halve lam until u + lam d, or its ray minimizer, does not raise the
         energy at eps2; trials are priced from the gradients of u and d and
-        from f_u = b.u. The accepted (point, lam), or None after 40 halvings
-        or, if must_lower, when it does not lower the energy (passed by
-        rounding alone)."""
+        from f_u = b.u. The accepted (point, lam, ray scale s, gradient of
+        d), or None after 40 halvings or, if must_lower, when it does not
+        lower the energy (passed by rounding alone)."""
         nonlocal trials
         f_d = float(load @ d)
         with np.errstate(over="ignore"):
@@ -636,17 +705,17 @@ def solve_p_torsion(
                 lam *= 0.5
             else:
                 return None
-        return None if must_lower and j_c >= j_cur else ((u + lam * d) * s, lam)
+        return None if must_lower and j_c >= j_cur else ((u + lam * d) * s, lam, s, gd)
 
     def lagged_point(g, eps2):
         # weights (|grad u|^2 + eps^2)^((p-2)/2), scaled to max 1 in log space
         w_log = (0.5 * (p - 2.0)) * np.log(g + eps2)
         return linear_solve(np.exp(np.maximum(w_log - w_log.max(), LOG_WEIGHT_FLOOR)))
 
-    def newton_direction(gu, g, eps2):
+    def newton_direction(gu, g, eps2, sigma):
         # Newton direction of the regularized energy, or None if the Hessian
         # is not finite or not positive definite, or the direction is not finite
-        hess_grad = mesh.energy_hessian(gu, g, p, eps2)
+        hess_grad = mesh.energy_hessian(gu, g, p, eps2, sigma)
         if hess_grad is None:
             return None
         try:
@@ -665,6 +734,8 @@ def solve_p_torsion(
     trace: list = []
     converged = False
     lam0 = 1.0  # first trial of the next search
+    primal_dual = p < PRIMAL_DUAL_P_MAX
+    sigma = None  # the primal-dual flux; None: the primal flux w grad u
     newton_steps = lagged_steps = 0
     last = len(EPS_LEVELS) - 1
     li = first_eps_level
@@ -678,7 +749,7 @@ def solve_p_torsion(
         settled = False  # the level ended on its first step, a full Newton step
         for step in range(cap):
             accepted = None
-            d = newton_direction(gu, g, eps2) if iterations < MAX_ITERS else None
+            d = newton_direction(gu, g, eps2, sigma) if iterations < MAX_ITERS else None
             if d is not None:
                 iterations += 1
                 newton_steps += 1
@@ -694,8 +765,12 @@ def solve_p_torsion(
             if accepted is None:
                 converged = li == last  # stationary to float precision
                 break
-            u, lam = accepted
+            u, lam, s, gd = accepted
             lam0 = 1.0 if lam == lam0 else min(1.0, 2.0 * lam)
+            if newton and primal_dual:
+                sigma = _flux_step(sigma, gu, gd, g, eps2, p, lam, s)
+            else:
+                sigma = None  # a lagged step resets the flux to the primal one
             f = float(load @ u)
             with np.errstate(over="ignore"):
                 gu = mesh.gradient_field(u)

@@ -198,6 +198,80 @@ def test_band_assembly_matches_dense_reference():
                     assert np.all(np.abs(grad - k_ref @ u_int) <= bound), label
 
 
+def _hessian_setup(poly, rng, p, eps_rel):
+    """(mesh, gu, g, eps2, w, ge) at a random positive u on poly's refined mesh."""
+    mesh = ptorsion._nested_meshes(poly, default_h0(poly), 2)[1]
+    u = poly.boundary_distances(mesh.nodes) * (1.0 + rng.random(mesh.n_nodes))
+    u[mesh.boundary_mask] = 0.0
+    gu, g = mesh.gradient_field(u), mesh.gradient_squares(u)
+    eps2 = eps_rel * eps_rel * float(g.max())
+    ge = g + eps2
+    return mesh, gu, g, eps2, ge ** ((p - 2.0) / 2.0), ge
+
+
+def _tensors(w, h, a, b):
+    """(M, 2, 2) per-triangle tensors w I + h (a b^T + b a^T) of (2, M) a, b."""
+    cross = np.einsum("im,jm->mij", a, b)
+    cross += cross.transpose(0, 2, 1)
+    return w[:, None, None] * np.eye(2) + h[:, None, None] * cross
+
+
+def test_primal_dual_matrix_is_spd_for_any_flux():
+    # given a flux sigma of any size, energy_hessian clips it in place to
+    # |sigma|^2 <= w^2 (g + eps2) and prices each triangle's tensor
+    # A = w I + h (sigma grad u^T + grad u sigma^T), h = (p - 2)/(2 (g + eps2)),
+    # whose smallest eigenvalue stays at or above (p - 1) w; so the matrix is
+    # SPD, and the matrix less (p - 1) K(w) is PSD
+    rng = np.random.default_rng(12)
+    for poly in (SQUARE, random_convex_polygon(0)):
+        for p in (1.05, 1.2, 1.4):
+            for eps_rel in (1e-2, 1e-10):
+                mesh, gu, g, eps2, w, ge = _hessian_setup(poly, rng, p, eps_rel)
+                grads, g_abs, area = _grads(mesh), np.abs(_grads(mesh)), mesh.areas[:, None, None]
+                h = (p - 2.0) / (2.0 * ge)
+                for size in (1e-6, 0.5, 1.0, 2.0, 1e6, 1e100):
+                    label = (poly, p, eps_rel, size)
+                    sigma = size * w * np.sqrt(ge) * rng.standard_normal((2, mesh.n_triangles))
+                    hess, _ = mesh.energy_hessian(gu, g, p, eps2, sigma)
+                    assert np.all(np.sum(sigma * sigma, axis=0) <= (1 + 1e-14) * w * w * ge)
+                    a = _tensors(w, h, sigma, gu)
+                    lam_min = np.linalg.eigvalsh(a)[:, 0]
+                    assert np.all(lam_min >= (p - 1.0) * w * (1.0 - 1e-12)), label
+                    # the band holds the blocks area * grad phi_i . A grad phi_j, up
+                    # to the rounding of their terms in this form and in the code's
+                    blocks = area * np.einsum("mic,mcd,mjd->mij", grads, a, grads)
+                    bound = _tensors(w, np.abs(h), np.abs(sigma), np.abs(gu))
+                    mags = area * np.einsum("mic,mcd,mjd->mij", g_abs, bound, g_abs)
+                    _assert_matches_reference(hess, blocks, mesh, label, mags)
+                    dense = _band_to_dense(hess)
+                    assert np.linalg.eigvalsh(dense)[0] > 0.0, label
+                    rest = dense - (p - 1.0) * _band_to_dense(mesh.stiffness(w))
+                    assert np.linalg.eigvalsh(rest)[0] >= -1e-12 * np.abs(dense).max(), label
+
+
+def test_primal_dual_matrix_at_the_primal_flux_is_the_hessian():
+    # at sigma = w grad u the primal-dual matrix is the Hessian, up to
+    # rounding, and the gradient is the same
+    rng = np.random.default_rng(13)
+    for poly in (SQUARE, random_convex_polygon(0)):
+        for p in (1.05, 1.2, 1.4):
+            for eps_rel in (1e-2, 1e-10):
+                mesh, gu, g, eps2, w, ge = _hessian_setup(poly, rng, p, eps_rel)
+                sigma = w * gu
+                pd, pd_grad = mesh.energy_hessian(gu, g, p, eps2, sigma.copy())
+                hess, grad = mesh.energy_hessian(gu, g, p, eps2)
+                assert np.array_equal(pd_grad, grad) and np.array_equal(pd.perm, hess.perm)
+                assert pd.ab.shape == hess.ab.shape and pd.nnz == hess.nnz
+                q = np.einsum("mij,jm->mi", _grads(mesh), gu)
+                c = (p - 2.0) * w / ge
+                mags = w[:, None, None] * np.abs(_unit_blocks(mesh)) + (
+                    mesh.areas * np.abs(c)
+                )[:, None, None] * np.abs(q[:, :, None] * q[:, None, :])
+                _, mag, _ = _dense_reference(mesh, mags)
+                err = np.abs(_band_to_dense(pd) - _band_to_dense(hess))
+                assert np.all(err <= 1e-14 * mag), (poly, p, eps_rel, (err / mag).max())
+
+
 def _block_band(mesh, blocks):
     """Band array of (M, 3, 3) blocks: the six lower local pairs (i, j),
     i >= j, of whole blocks, in pair order, that couple two interior nodes,
@@ -328,8 +402,8 @@ def test_rejected_newton_solve_falls_back_to_lagged_steps(monkeypatch):
     ref = solve_p_torsion(mesh, 3.0, start)
     hessian = Mesh.energy_hessian
 
-    def indefinite_hessian(self, gu, g, p, eps2):
-        hess, grad = hessian(self, gu, g, p, eps2)
+    def indefinite_hessian(self, gu, g, p, eps2, sigma=None):
+        hess, grad = hessian(self, gu, g, p, eps2, sigma)
         hess.ab[0] *= -1.0  # negative diagonal: LAPACK rejects every Newton system
         return hess, grad
 
@@ -683,7 +757,12 @@ def test_search_trials_gather_no_nodal_values(monkeypatch):
     monkeypatch.setattr(Mesh, "gradient_field", recording)
     monkeypatch.setattr(ptorsion, "_ray_priced", counting)
     mesh = triangulate(SQUARE, 0.1)
-    for p in (1.05, 3.0, 32.0):
+    backtracks = {}
+    # (p, PRIMAL_DUAL_P_MAX): p = 1.05 with primal-dual and with primal
+    # Newton steps
+    primal_dual = ptorsion.PRIMAL_DUAL_P_MAX
+    for p, pd_max in ((1.05, primal_dual), (1.05, 1.05), (3.0, primal_dual), (32.0, primal_dual)):
+        monkeypatch.setattr(ptorsion, "PRIMAL_DUAL_P_MAX", pd_max)
         start = cold_start(SQUARE, mesh, p)
         inputs.clear()
         priced.clear()
@@ -696,8 +775,10 @@ def test_search_trials_gather_no_nodal_values(monkeypatch):
         trials = len(priced) - 2
         assert trials >= searches, p
         assert sol.backtracks == trials - len(sol.energy_trace), p
-        if p == 1.05:
-            assert sol.backtracks > 0  # damped steps: halvings were tried
+        backtracks[p < pd_max, p] = sol.backtracks
+    # primal steps at p = 1.05 overshoot where |grad u| is below its target,
+    # so halvings were tried; carrying the flux removes them
+    assert backtracks[False, 1.05] > 0 and backtracks[True, 1.05] == 0
 
 
 def test_solves_reach_the_previous_loops_minima(monkeypatch):
@@ -735,7 +816,7 @@ def test_solves_reach_the_previous_loops_minima(monkeypatch):
         assert np.isclose(sol.energy, energy(mesh, sol.u, p), rtol=1e-12, atol=0), p
         assert np.isclose(sol.t_p, t_ref, rtol=1e-8, atol=0), (mesh.n_nodes, p)
     # with every Newton step rejected, p = 3 takes lagged steps only
-    monkeypatch.setattr(Mesh, "energy_hessian", lambda self, gu, g, p, eps2: None)
+    monkeypatch.setattr(Mesh, "energy_hessian", lambda self, gu, g, p, eps2, sigma=None: None)
     for shape, mesh, p, t_ref in cases:
         if p == 3.0:
             sol = solve_p_torsion(mesh, p, cold_start(shape, mesh, p))
@@ -902,13 +983,95 @@ def test_thin_ellipse_small_p_solve():
         assert sol.converged and sol.u.min() >= 0.0, p
 
 
+def test_primal_dual_solves_agree_with_primal_ones(monkeypatch):
+    # below PRIMAL_DUAL_P_MAX the flux carried from step to step removes the
+    # primal Newton step's overshoot near p = 1: the solves reach the primal
+    # solves' T_p in fewer iterations. With primal steps (PRIMAL_DUAL_P_MAX
+    # lowered to 1) the kappa = 1000 ellipse at p = 1.05 ends with nodes a
+    # rounding below 0, and the truncation candidate max(u, 0) is kept
+    shapes = [SQUARE, make_regular_ngon(64, 1.0), make_ellipse_polygon(1000.0, 1.0, 128)]
+    for poly, level in zip(shapes, (2, 2, 0)):
+        mesh = ptorsion._nested_meshes(poly, default_h0(poly), level + 1)[level]
+        for p in (1.05, 1.1, 1.2):
+            start = cold_start(poly, mesh, p)
+            sol = solve_p_torsion(mesh, p, start)
+            monkeypatch.setattr(ptorsion, "PRIMAL_DUAL_P_MAX", 1.0)
+            primal = solve_p_torsion(mesh, p, start)
+            monkeypatch.undo()
+            label = (mesh.n_nodes, p, sol.iterations, primal.iterations)
+            assert sol.converged and primal.converged, label
+            assert sol.u.min() >= 0.0 and primal.u.min() >= 0.0, label
+            assert abs(sol.t_p - primal.t_p) <= 1e-8 * primal.t_p, label
+            assert sol.iterations < primal.iterations, label
+
+
+def test_primal_dual_steps_only_below_their_constant(monkeypatch):
+    # a solve at p >= PRIMAL_DUAL_P_MAX never passes a flux to
+    # energy_hessian; below it the first Newton step takes the primal flux
+    # (no sigma) and later ones carry it
+    calls = []
+    hessian = Mesh.energy_hessian
+
+    def recording(self, gu, g, p, eps2, sigma=None):
+        calls.append(sigma is not None)
+        return hessian(self, gu, g, p, eps2, sigma)
+
+    monkeypatch.setattr(Mesh, "energy_hessian", recording)
+    poly = random_convex_polygon([7, 1])
+    mesh = refine(triangulate(poly, default_h0(poly)))
+    p_max = ptorsion.PRIMAL_DUAL_P_MAX
+    for p in (1.05, 1.2, 1.4, p_max, 1.5, 3.0, 8.0, 32.0):
+        calls.clear()
+        assert solve_p_torsion(mesh, p, cold_start(poly, mesh, p)).converged
+        if p < p_max:
+            assert not calls[0] and all(calls[1:]), p
+        else:
+            assert not any(calls), p
+
+
+def test_flux_step_solves_the_linearized_flux_relation():
+    # _flux_step's full step (lam = 1, s = 1) solves the flux relation
+    # (g + eps2)^((2 - p)/2) sigma = grad u linearized at (u, sigma) in d;
+    # from the primal flux (sigma None) it is the primal flux of u + d to
+    # first order; a damped step mixes it with sigma, and the ray scale s
+    # multiplies it by s^(p - 1)
+    rng = np.random.default_rng(14)
+    p, eps2 = 1.2, 0.1
+    gu, gd = rng.standard_normal((2, 2, 50))
+    g = np.einsum("jm,jm->m", gu, gu)
+    ge = g + eps2
+    w = ge ** ((p - 2.0) / 2.0)
+    sigma = 3.0 * w * rng.standard_normal((2, 50))
+    full = ptorsion._flux_step(sigma.copy(), gu, gd, g, eps2, p, 1.0, 1.0)
+    rhs = w * (gu + gd) - (2.0 - p) / ge * np.einsum("jm,jm->m", gu, gd) * sigma
+    assert np.allclose(full, rhs, rtol=1e-13, atol=1e-13 * np.abs(rhs).max())
+    mixed = ptorsion._flux_step(sigma.copy(), gu, gd, g, eps2, p, 0.25, 3.0)
+    assert np.allclose(mixed, 3.0 ** (p - 1.0) * (0.75 * sigma + 0.25 * full), rtol=1e-13)
+
+    def flux(t):
+        gt = gu + t * gd
+        return (np.einsum("jm,jm->m", gt, gt) + eps2) ** ((p - 2.0) / 2.0) * gt
+
+    assert np.array_equal(
+        ptorsion._flux_step(None, gu, gd, g, eps2, p, 0.5, 2.0),
+        ptorsion._flux_step(flux(0.0), gu, gd, g, eps2, p, 0.5, 2.0),
+    )
+    errs = [
+        np.abs(ptorsion._flux_step(None, gu, t * gd, g, eps2, p, 1.0, 1.0) - flux(t)).max()
+        for t in (1e-2, 1e-3)
+    ]
+    assert errs[1] <= errs[0] / 50.0  # second order in t
+
+
 def test_truncation_that_raises_the_energy_is_not_kept(monkeypatch):
-    # at p = 1.05 the solve on the kappa = 1000 ellipse stops with nodes a
-    # rounding below 0, and max(u, 0) is offered as one more candidate; made
-    # steeper (every squared gradient it is priced from is 4x), the candidate
-    # raises the energy, is dropped, and the maximum principle check fires
+    # with primal Newton steps (PRIMAL_DUAL_P_MAX lowered to 1.05) the solve
+    # at p = 1.05 on the kappa = 1000 ellipse stops with nodes a rounding
+    # below 0, and max(u, 0) is offered as one more candidate; made steeper
+    # (every squared gradient it is priced from is 4x), the candidate raises
+    # the energy, is dropped, and the maximum principle check fires
     poly = make_ellipse_polygon(1000.0, 1.0, 128)
     mesh = triangulate(poly, default_h0(poly))
+    monkeypatch.setattr(ptorsion, "PRIMAL_DUAL_P_MAX", 1.05)
     gradient_squares = Mesh.gradient_squares
     monkeypatch.setattr(Mesh, "gradient_squares", lambda self, u: 4.0 * gradient_squares(self, u))
     with pytest.raises(ConvergenceError, match="discrete maximum principle violated") as info:
@@ -940,33 +1103,42 @@ def test_each_search_starts_from_the_last_accepted_step(monkeypatch):
     monkeypatch.setattr(ptorsion, "_ray_priced", pricing)
     mesh = triangulate(SQUARE, 0.1)
     load = mesh.load_vector
-    sol = solve_p_torsion(mesh, 1.05, cold_start(SQUARE, mesh, 1.05))
-    assert sol.converged
-    events.pop()  # the end's pricing
-    (kind0, start), (kind1, _, s0) = events[:2]
-    assert (kind0, kind1) == ("gather", "price")
-    u, lam0, i = start * s0, 1.0, 2
-    firsts, accepted = [], 0
-    while i < len(events):
-        kind, d = events[i]
-        assert kind == "gather"
-        i += 1
-        f_u, f_d = float(load @ u), float(load @ d)
-        trials = []
-        while i < len(events) and events[i][0] == "price":
-            trials.append(events[i])
+
+    def replayed_firsts():
+        events.clear()
+        sol = solve_p_torsion(mesh, 1.05, cold_start(SQUARE, mesh, 1.05))
+        assert sol.converged
+        events.pop()  # the end's pricing
+        (kind0, start), (kind1, _, s0) = events[:2]
+        assert (kind0, kind1) == ("gather", "price")
+        u, lam0, i = start * s0, 1.0, 2
+        firsts, accepted = [], 0
+        while i < len(events):
+            kind, d = events[i]
+            assert kind == "gather"
             i += 1
-        assert trials[0][1] == f_u + lam0 * f_d  # the first trial is at lam0
-        firsts.append(lam0)
-        lam = lam0 / 2.0 ** (len(trials) - 1)
-        if i < len(events) and np.array_equal(events[i][1], (u + lam * d) * trials[-1][2]):
-            u = events[i][1]
-            i += 1
-            accepted += 1
-            lam0 = 1.0 if len(trials) == 1 else min(1.0, 2.0 * lam)
-    assert len(firsts) == sol.newton_steps + sol.lagged_steps
-    assert accepted == len(sol.energy_trace)
-    assert min(firsts) < 0.5  # the memory was used
+            f_u, f_d = float(load @ u), float(load @ d)
+            trials = []
+            while i < len(events) and events[i][0] == "price":
+                trials.append(events[i])
+                i += 1
+            assert trials[0][1] == f_u + lam0 * f_d  # the first trial is at lam0
+            firsts.append(lam0)
+            lam = lam0 / 2.0 ** (len(trials) - 1)
+            if i < len(events) and np.array_equal(events[i][1], (u + lam * d) * trials[-1][2]):
+                u = events[i][1]
+                i += 1
+                accepted += 1
+                lam0 = 1.0 if len(trials) == 1 else min(1.0, 2.0 * lam)
+        assert len(firsts) == sol.newton_steps + sol.lagged_steps
+        assert accepted == len(sol.energy_trace)
+        return firsts
+
+    # every primal-dual search at p = 1.05 starts at lam = 1
+    assert set(replayed_firsts()) == {1.0}
+    # primal ones (PRIMAL_DUAL_P_MAX lowered to 1.05) backtrack
+    monkeypatch.setattr(ptorsion, "PRIMAL_DUAL_P_MAX", 1.05)
+    assert min(replayed_firsts()) < 0.5  # the memory was used
 
 
 def test_final_energies_stay_at_the_fixed_start_searches_minima():
