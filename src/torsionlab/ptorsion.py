@@ -506,18 +506,15 @@ POWER_FLOOR = 1e-300
 # Iteration budget of one solve, over all eps levels.
 MAX_ITERS = 500
 # At or below this p, a refined level of a refinement study starts from the
-# prolonged coarse solution (nested iteration); above it, from cold_start.
-# Over four levels of ten model shapes (six random polygons, the square, the
-# 64-gon, the 4:1 and 10:1 ellipses), the prolonged start took 274 against
-# 348 iterations at p = 1.5 and about 15% less time at p = 2.5 to 5 for
-# about as many; at p = 8 both took the same time, and at p = 10 and 16
-# cold_start took fewer iterations (263 against 313 at p = 10) and less time.
+# prolonged coarse solution (nested iteration) on the last eps level; above
+# it, from cold_start. Over four levels of ten model shapes (six random
+# polygons, the square, the 64-gon, the 4:1 and 10:1 ellipses), the prolonged
+# start took 224 against 345 iterations at p = 1.5 (0.09 against 0.19 s),
+# about 20% less time at p = 3 and 5 for about as many, and the same time at
+# p = 8. cold_start took fewer iterations and less time at p = 10 and 16
+# (264 against 307, 293 against 378; 944 against 1065 on 80 corridor
+# polygons at p = 10), and at p = 32 fewer iterations but more time.
 NESTED_START_P_MAX = 8.0
-# First EPS_LEVELS index of a study continued toward p = 1 (see
-# rigidity_with_refinement). On 90 random polygons at levels 3, continued
-# solves at p = 1.05 took 25% fewer iterations than uncontinued ones from
-# 1e-4, 4% fewer from 1e-2 and 30% more from 1e-8.
-CONTINUATION_EPS_LEVEL = 2
 # Below this p, Newton steps are primal-dual (Chan, Golub and Mulet, SIAM J.
 # Sci. Comput. 20, 1999): each solve carries a per-triangle flux sigma from
 # step to step (see solve_p_torsion). A step then costs about 30 us more at
@@ -632,10 +629,10 @@ def solve_p_torsion(
     regularization: it moves to its ray minimizer unless that raises the
     energy. At p = 2 the solve is one linear solve and `start` is not used.
     At each level of EPS_LEVELS, from index first_eps_level on (a start near
-    the minimizer may skip the coarse ones), eps = eps_rel * max |grad u| for
-    the current iterate. Each step tries the Newton direction of the regularized
-    energy first and the lagged (Kacanov) step only where Newton is
-    rejected. For p < PRIMAL_DUAL_P_MAX the Newton steps are primal-dual: the
+    the minimizer, as a refinement study's warm starts are, begins on the
+    last), eps = eps_rel * max |grad u| for the current iterate. Each step
+    tries the Newton direction of the regularized energy first and the
+    lagged (Kacanov) step only where Newton is rejected. For p < PRIMAL_DUAL_P_MAX the Newton steps are primal-dual: the
     solve carries a per-triangle flux sigma for Mesh.energy_hessian, the
     primal flux w grad u at the start and after a lagged step, moved by
     _flux_step after each accepted Newton step and kept across eps levels;
@@ -909,11 +906,12 @@ def rigidity_with_refinement(
 
     Continuation in p: `previous` is the estimate of the p_prev before p on
     the same polygon. If it has as many levels and p < p_prev <= 2 or
-    8 <= p_prev < p, each level starts from its solution on the same mesh,
-    toward p = 1 at eps index CONTINUATION_EPS_LEVEL. Otherwise, for
-    p <= NESTED_START_P_MAX a refined level starts from the coarser level's
-    solution, interpolated at edge midpoints (nested iteration), and every
-    other level from cold_start. A p outside (1, P_MAX_SUPPORTED] raises
+    8 <= p_prev < p, each level starts from its solution on the same mesh.
+    Otherwise, for p <= NESTED_START_P_MAX a refined level starts from the
+    coarser level's solution, interpolated at edge midpoints (nested
+    iteration), and every other level from cold_start. A warm start (either
+    kind of solution) is solved on the last eps level only; a cold start
+    walks the whole eps ladder. A p outside (1, P_MAX_SUPPORTED] raises
     ValueError before any mesh or start is built. On nested meshes T_p
     grows with the level, and equal T_p on the two finest levels, which
     would give a zero error estimate, raise ConvergenceError.
@@ -929,17 +927,18 @@ def rigidity_with_refinement(
         raise ValueError("refinement study needs levels >= 2")
     if h0 is None:
         h0 = default_h0(poly)
-    near, first = [], 0
+    near = []
     if previous is not None and len(previous.solutions) == levels:
         p_prev = previous.solution.p
         if p < p_prev <= 2.0 or 8.0 <= p_prev < p:
-            near, first = previous.solutions, CONTINUATION_EPS_LEVEL if p < p_prev else 0
+            near = previous.solutions
+    warm = len(EPS_LEVELS) - 1
     solutions: list[TorsionSolution] = []
     for k, mesh in enumerate(_nested_meshes(poly, h0, levels)):
         if near and near[k].mesh is mesh:
-            start, eps_level = near[k].u, first
+            start, eps_level = near[k].u, warm
         elif solutions and p <= NESTED_START_P_MAX:
-            start, eps_level = mesh.prolong(solutions[-1].u), 0
+            start, eps_level = mesh.prolong(solutions[-1].u), warm
         else:
             start, eps_level = cold_start(poly, mesh, p), 0
         solutions.append(solve_p_torsion(mesh, p, start=start, first_eps_level=eps_level))

@@ -23,7 +23,7 @@ from torsionlab.cheeger import p_to_one_trend
 from torsionlab.families import p_to_infinity_trend
 from torsionlab.functionals import build_shape_report
 from torsionlab.ptorsion import (
-    CONTINUATION_EPS_LEVEL,
+    EPS_LEVELS,
     Mesh,
     _ray_priced,
     cold_start,
@@ -36,6 +36,7 @@ from torsionlab.ptorsion import (
 )
 
 SQUARE = make_rectangle(1.0, 0.5)
+LAST_EPS_LEVEL = len(EPS_LEVELS) - 1
 
 
 def test_triangulate_square_structured():
@@ -827,8 +828,8 @@ def test_solves_reach_the_previous_loops_minima(monkeypatch):
 
 def test_nested_levels_start_from_the_prolonged_coarse_solution():
     # for p <= 8 each refined level is solve_p_torsion started from the
-    # coarser level's u, interpolated at edge midpoints; that start costs no
-    # linear solve
+    # coarser level's u, interpolated at edge midpoints, on the last eps
+    # level; that start costs no linear solve
     poly = random_convex_polygon([41, 2])
     for p in (1.05, 3.0):
         est = rigidity_with_refinement(poly, p, levels=3)
@@ -838,7 +839,7 @@ def test_nested_levels_start_from_the_prolonged_coarse_solution():
         for fine in meshes[1:]:
             e = fine.parent_edges
             start = np.concatenate([sol.u, 0.5 * (sol.u[e[:, 0]] + sol.u[e[:, 1]])])
-            sol = solve_p_torsion(fine, p, start=start)
+            sol = solve_p_torsion(fine, p, start=start, first_eps_level=LAST_EPS_LEVEL)
             assert sol.iterations == sol.newton_steps + sol.lagged_steps
             iterations += sol.iterations
         assert sol.u.tobytes() == est.solution.u.tobytes(), p
@@ -903,9 +904,10 @@ def test_large_p_levels_are_cold_solves():
 
 def test_continuation_in_p_follows_its_start_rule(monkeypatch):
     # each level of a study continues from the previous p's solution on the
-    # same mesh toward p = 1 from p_prev <= 2, at eps index 2, and upward
-    # from p_prev >= 8, at index 0; any other previous estimate leaves every
-    # start and eps index as they are without one
+    # same mesh toward p = 1 from p_prev <= 2 and upward from p_prev >= 8, on
+    # the last eps level; any other previous estimate leaves every start and
+    # eps index as they are without one: the last for a nested level, 0 for
+    # a cold one
     calls = []
     solve = ptorsion.solve_p_torsion
 
@@ -921,12 +923,12 @@ def test_continuation_in_p_follows_its_start_rule(monkeypatch):
         est = rigidity_with_refinement(on, p, levels=levels, h0=h0, previous=previous)
         return est, list(calls)
 
-    def continued(p_list, eps_level):
+    def continued(p_list):
         est = study(poly, p_list[0], None)[0]
         for p in p_list[1:]:
             previous = est
             est, made = study(poly, p, previous)
-            assert [level for *_, level in made] == [eps_level] * 3, p
+            assert [level for *_, level in made] == [LAST_EPS_LEVEL] * 3, p
             for (mesh, start, _), near in zip(made, previous.solutions):
                 assert mesh is near.mesh and np.array_equal(start, near.u), p
 
@@ -934,11 +936,13 @@ def test_continuation_in_p_follows_its_start_rule(monkeypatch):
         alone = study(poly, p, None, levels)[1]
         after = study(poly, p, previous, levels)[1]
         assert len(after) == len(alone) == levels, p
-        for (m1, s1, e1), (m2, s2, e2) in zip(alone, after):
-            assert m1 is m2 and e1 == e2 == 0 and np.array_equal(s1, s2), p
+        nested = LAST_EPS_LEVEL if p <= ptorsion.NESTED_START_P_MAX else 0
+        for k, ((m1, s1, e1), (m2, s2, e2)) in enumerate(zip(alone, after)):
+            assert m1 is m2 and e1 == e2 == (nested if k else 0), p
+            assert np.array_equal(s1, s2), p
 
-    continued((1.2, 1.1, 1.05), CONTINUATION_EPS_LEVEL)
-    continued((8.0, 16.0, 32.0), 0)
+    continued((1.2, 1.1, 1.05))
+    continued((8.0, 16.0, 32.0))
     corridor = (1.5, 2.0, 3.0, 5.0, 10.0)
     previous = study(poly, corridor[0], None)[0]
     for p in corridor[1:]:
@@ -950,6 +954,32 @@ def test_continuation_in_p_follows_its_start_rule(monkeypatch):
     never(1.1, study(poly, 1.2, None, levels=2)[0])
     never(1.1, study(poly, 1.2, None)[0], levels=2)
     never(16.0, study(poly, 8.0, None, levels=2)[0])
+
+
+def test_warm_solves_skip_the_eps_ladder():
+    # a level started from the prolonged coarse solution or from the previous
+    # p's solution takes every step on the last eps level, while the cold
+    # base level walks the ladder; skipping it moves T_p by rounding only
+    # against a full-ladder solve from the same start
+    shapes = [SQUARE, make_regular_ngon(64, 1.0), make_ellipse_polygon(1000.0, 1.0, 128)]
+    for poly in shapes:
+        previous = None
+        for p in (1.05, 1.2, 3.0, 8.0, 16.0, 32.0):
+            est = rigidity_with_refinement(poly, p, levels=2, previous=previous)
+            base, fine = est.solutions
+            if p > 8.0:  # continued upward from the previous p
+                warm = [(base, previous.solutions[0].u), (fine, previous.solutions[1].u)]
+            else:
+                warm = [(fine, fine.mesh.prolong(base.u))]
+                ladder = [li for li, _ in base.energy_trace]
+                assert ladder[0] == 0 and ladder[-1] == LAST_EPS_LEVEL, (poly, p, ladder)
+                assert ladder == sorted(ladder) and len(set(ladder)) > 2, (poly, p, ladder)
+            for sol, start in warm:
+                label = (poly, p, sol.mesh.n_nodes)
+                assert {li for li, _ in sol.energy_trace} == {LAST_EPS_LEVEL}, label
+                full = solve_p_torsion(sol.mesh, p, start)
+                assert abs(sol.t_p - full.t_p) <= 1e-8 * full.t_p, (label, sol.t_p, full.t_p)
+            previous = est
 
 
 def test_continued_trends_agree_with_standalone_studies(monkeypatch):
