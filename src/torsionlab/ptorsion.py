@@ -48,6 +48,9 @@ BAND_BUDGET = 2**30 // 8
 # stiffness block, in the order of the plan's (6, M) pair arrays.
 PAIR_I = np.array((0, 1, 2, 1, 2, 2))
 PAIR_J = np.array((0, 0, 0, 1, 1, 2))
+# Vertex k of child c of a refined triangle, as a row of its (v0, v1, v2,
+# m01, m12, m20) ids: the children at v0, v1 and v2, then the middle one.
+_CHILDREN = np.array(((0, 3, 5, 3), (3, 1, 4, 4), (5, 4, 2, 5)))
 
 # Interior hexagonal lattice spacing relative to h_target, and the minimum
 # clearance between lattice points and the boundary chain (in lattice
@@ -94,32 +97,32 @@ class Mesh:
     oriented; boundary_mask: (N,) bool; h_max: longest edge length;
     parent_edges: for a mesh made by refine, the (N - N0, 2) pairs of
     coarse nodes whose midpoints are nodes N0.. (the first N0 nodes are the
-    coarse mesh's), else None. Immutable; its per-triangle kernels (basis
-    gradients, unit pair stiffness, band slots) are cached component-major
-    in one plan, _band_plan. Every array it holds, given or cached, is
-    read-only: rigidity_with_refinement caches the meshes of each polygon
-    and solves every p on the same ones.
+    coarse mesh's), else None. Immutable; areas, h_max and the basis
+    gradients come from one gather of the triangles' edge vectors, and the
+    per-triangle kernels (basis gradients, unit pair stiffness, band slots)
+    are cached component-major in one plan, _band_plan. Every array it
+    holds, given or cached, is read-only: rigidity_with_refinement caches
+    the meshes of each polygon and solves every p on the same ones.
     """
 
     def __init__(self, nodes, triangles, boundary_mask, parent_edges=None):
         self.nodes = _frozen(np.ascontiguousarray(nodes, dtype=float))
-        self.triangles = _frozen(np.ascontiguousarray(triangles, dtype=np.int32))
+        tt = np.ascontiguousarray(np.asarray(triangles).T, dtype=np.intp)
+        self.triangles = _frozen(np.ascontiguousarray(tt.T, dtype=np.int32))
         self.boundary_mask = _frozen(np.ascontiguousarray(boundary_mask, dtype=bool))
         if parent_edges is not None:
             parent_edges = _frozen(np.ascontiguousarray(parent_edges, dtype=np.intp))
         self.parent_edges = parent_edges
-        self.areas = _frozen(_signed_areas(self.nodes, self.triangles))
+        e = _edge_vectors(self.nodes, tt)
+        self.areas = _frozen(_signed_areas(e))
         total = float(self.areas.sum())
         if np.any(self.areas <= 1e-14 * total):
             raise MeshResourceError("mesh contains degenerate or inverted triangles")
-        a, b, c = (self.nodes[self.triangles[:, k]] for k in range(3))
-        self.h_max = float(
-            max(
-                np.max(np.hypot(*(b - a).T)),
-                np.max(np.hypot(*(c - b).T)),
-                np.max(np.hypot(*(a - c).T)),
-            )
-        )
+        self.h_max = float(np.hypot(e[0], e[1]).max())
+        # grad phi_k is the edge opposite vertex k rotated by +90 degrees, over 2 * area
+        G = e[::-1] / (2.0 * self.areas)
+        np.negative(G[0], out=G[0])
+        self._grads, self._tt = _frozen(G), _frozen(tt)
 
     @property
     def n_nodes(self) -> int:
@@ -132,8 +135,9 @@ class Mesh:
     @cached_property
     def load_vector(self) -> np.ndarray:
         """(N,) exact integrals of the nodal basis functions."""
-        b = np.zeros(self.n_nodes)
-        np.add.at(b, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
+        b = np.bincount(
+            self.triangles.ravel(), np.repeat(self.areas / 3.0, 3), minlength=self.n_nodes
+        )
         return _frozen(b)
 
     @cached_property
@@ -150,45 +154,43 @@ class Mesh:
         stiffness area * grad phi_i . grad phi_j of the six lower local
         pairs (PAIR_I[e], PAIR_J[e]). The interior unknowns are taken in
         reverse Cuthill-McKee order perm, which confines the matrix to
-        half-bandwidth kd. Pair e of triangle m adds into element slot6[e, m]
-        of the Fortran-ordered (kd + 1, n) LAPACK lower band array or, if it
-        touches a boundary node, into the dump slot (kd + 1) n, which
-        _assemble drops. nnz counts the full matrix's distinct nonzeros. tt
-        and slot6 are intp, the index type of take and bincount, which would
-        otherwise cast them on every call.
+        half-bandwidth kd. scipy orders the canonical CSR graph whose entries
+        are the sorted, distinct keys row * n + col of every triangle's nine
+        local pairs with both nodes interior; nnz, the full matrix's distinct
+        nonzeros, is their count. Pair e of triangle m adds into element
+        slot6[e, m] of the Fortran-ordered (kd + 1, n) LAPACK lower band
+        array or, if it touches a boundary node, into the dump slot
+        (kd + 1) n, which _assemble drops. tt and slot6 are intp, the index
+        type of take and bincount, which would otherwise cast them.
         """
-        tri, m = self.triangles, self.n_triangles
-        a, b, c = (self.nodes[tri[:, k]] for k in range(3))
-        G = np.empty((2, 3, m))
-        for k, (p_opp1, p_opp2) in enumerate(((c, b), (a, c), (b, a))):
-            d = p_opp1 - p_opp2
-            G[0, k] = -d[:, 1]
-            G[1, k] = d[:, 0]
-        G /= 2.0 * self.areas
-        k6 = self.areas * np.add.reduce(G[:, PAIR_I] * G[:, PAIR_J], axis=0)
+        G, tt = self._grads, self._tt
+        gg = G.take(PAIR_I, axis=1) * G.take(PAIR_J, axis=1)
+        k6 = self.areas * (gg[0] + gg[1])
         ni = len(self.interior_index)
-        imap = np.full(self.n_nodes, -1, dtype=np.int64)
+        imap = np.full(self.n_nodes, -1, dtype=np.intp)
         imap[self.interior_index] = np.arange(ni)
-        ti = imap[tri]  # (M, 3)
-        rows = np.broadcast_to(ti[:, :, None], (m, 3, 3)).ravel()
-        cols = np.broadcast_to(ti[:, None, :], (m, 3, 3)).ravel()
-        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
-        graph = csr_matrix((np.ones(len(kept)), (rows[kept], cols[kept])), shape=(ni, ni))
+        ti = imap[tt]  # (3, M), -1 on the boundary
+        inner = ti >= 0
+        # row * ni + col of the nine local pairs, sorted and distinct: the
+        # graph's canonical CSR entries, the diagonal included
+        keys = np.sort((ti[:, None] * ni + ti)[inner[:, None] & inner])
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        rows, cols = np.divmod(keys, ni)
+        # int32 indices, to which scipy would otherwise convert them
+        indptr = np.searchsorted(rows, np.arange(ni + 1)).astype(np.int32)
+        graph = csr_matrix((np.ones(len(keys)), cols.astype(np.int32), indptr), shape=(ni, ni))
         perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.intp)
-        rank = np.full(self.n_nodes, -1, dtype=np.int64)  # RCM position, -1 on the boundary
+        rank = np.full(self.n_nodes, -1, dtype=np.intp)  # RCM position, -1 on the boundary
         rank[self.interior_index[perm]] = np.arange(ni)
-        tt = np.ascontiguousarray(tri.T, dtype=np.intp)
         r = rank[tt]
         ri, rj = r[PAIR_I], r[PAIR_J]
         col, off = np.minimum(ri, rj), np.abs(ri - rj)
-        kd = int(off[col >= 0].max(initial=0))
+        inner = col >= 0
+        kd = int(off[inner].max(initial=0))
         if (kd + 1) * ni > BAND_BUDGET:
             raise MeshResourceError(f"a {kd + 1} x {ni} band exceeds {BAND_BUDGET} doubles")
-        slot6 = np.where(col >= 0, off + (kd + 1) * col, (kd + 1) * ni).astype(np.intp)
-        counts = np.bincount(slot6.ravel(), minlength=(kd + 1) * ni + 1)[:-1]
-        occupied = counts.reshape(ni, kd + 1) > 0  # column 0: the diagonal
-        nnz = 2 * int(occupied.sum()) - int(occupied[:, 0].sum())
-        return (*(_frozen(x) for x in (G, tt, k6, slot6, perm)), kd, nnz)
+        slot6 = np.where(inner, off + (kd + 1) * col, (kd + 1) * ni)
+        return (G, tt, *(_frozen(x) for x in (k6, slot6, perm)), kd, len(keys))
 
     def _assemble(self, values: np.ndarray) -> BandMatrix:
         """Interior-reduced band matrix from the plan's (6, M) pair values."""
@@ -285,12 +287,17 @@ def _squares(gu: np.ndarray) -> np.ndarray:
 # -- mesh generation --------------------------------------------------------
 
 
-def _signed_areas(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """(M,) triangle areas, positive for counter-clockwise vertex order."""
-    a, b, c = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
-    return 0.5 * (
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
+def _edge_vectors(nodes: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    """(2, 3, M) edge vectors of the triangles tt (3, M): edge k, opposite
+    vertex k, runs from vertex k + 1 to vertex k + 2."""
+    xy = nodes.T.take(tt, axis=1)  # (2, 3, M)
+    return xy.take((2, 0, 1), axis=1) - xy.take((1, 2, 0), axis=1)  # C-ordered, so G is too
+
+
+def _signed_areas(e: np.ndarray) -> np.ndarray:
+    """(M,) triangle areas from their _edge_vectors, positive for
+    counter-clockwise vertex order."""
+    return 0.5 * (e[0, 1] * e[1, 2] - e[1, 1] * e[0, 2])
 
 
 def _is_axis_rectangle(poly: ConvexPolygon) -> bool:
@@ -345,14 +352,13 @@ def _structured_rectangle_mesh(poly: ConvexPolygon, h_target: float) -> Mesh:
 
 
 def _boundary_chain(poly: ConvexPolygon, h_target: float) -> np.ndarray:
-    pts = []
+    """Boundary points, each edge split into ceil(length / h_target) parts."""
     v = poly.vertices
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        m = max(1, math.ceil(math.hypot(*(b - a)) / h_target))
-        frac = np.arange(m) / m
-        pts.append(a[None, :] + frac[:, None] * (b - a)[None, :])
-    return np.vstack(pts)
+    d = np.concatenate([v[1:], v[:1]]) - v
+    parts = np.array([max(1, math.ceil(math.hypot(x, y) / h_target)) for x, y in d.tolist()])
+    edge = np.repeat(np.arange(len(v)), parts)
+    frac = (np.arange(len(edge)) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[edge]
+    return v[edge] + frac[:, None] * d[edge]
 
 
 def _hex_lattice(poly: ConvexPolygon, spacing: float) -> np.ndarray:
@@ -379,11 +385,10 @@ def _hex_lattice(poly: ConvexPolygon, spacing: float) -> np.ndarray:
 def _delaunay_mesh(poly: ConvexPolygon, h_target: float) -> Mesh:
     area = poly.area
     spacing = LATTICE_FACTOR * h_target
+    chain = _boundary_chain(poly, h_target)
     last_error = None
     for _ in range(4):
-        chain = _boundary_chain(poly, h_target)
-        interior = _hex_lattice(poly, spacing)
-        pts = np.vstack([chain, interior])
+        pts = np.vstack([chain, _hex_lattice(poly, spacing)])
         if len(pts) > NODE_BUDGET:
             raise MeshResourceError(
                 f"h_target={h_target:g} needs more than {NODE_BUDGET} mesh nodes"
@@ -393,19 +398,19 @@ def _delaunay_mesh(poly: ConvexPolygon, h_target: float) -> Mesh:
             spacing *= 0.7919
             last_error = "Delaunay dropped coplanar points"
             continue
-        tris = tess.simplices.astype(np.int32)
-        areas = _signed_areas(pts, tris)
+        tt = tess.simplices.T.astype(np.intp)
+        areas = _signed_areas(_edge_vectors(pts, tt))
         flip = areas < 0.0
-        tris[flip] = tris[flip][:, [0, 2, 1]]
-        areas = np.abs(areas)
+        tt[1:, flip] = tt[:0:-1, flip]
+        areas = np.abs(areas)  # the flipped triangles' areas, bit for bit
         keep = areas > 1e-14 * area
-        tris = tris[keep]
-        if abs(float(areas[keep].sum()) - area) > 1e-9 * area:
+        tt, areas = tt[:, keep], areas[keep]
+        if abs(float(areas.sum()) - area) > 1e-9 * area:
             raise MeshResourceError("triangulation does not tile the polygon")
         boundary = np.zeros(len(pts), dtype=bool)
         boundary[: len(chain)] = True
-        nodes = _smooth_interior(pts, tris, boundary, area)
-        mesh = Mesh(nodes, tris, boundary)
+        nodes = _smooth_interior(pts, tt, boundary, areas, area)
+        mesh = Mesh(nodes, tt.T, boundary)
         if mesh.h_max <= 1.5 * h_target:
             return mesh
         spacing *= 0.75
@@ -413,23 +418,23 @@ def _delaunay_mesh(poly: ConvexPolygon, h_target: float) -> Mesh:
     raise MeshResourceError(f"could not mesh polygon at h_target={h_target:g}: {last_error}")
 
 
-def _smooth_interior(nodes, tris, boundary, total_area):
+def _smooth_interior(nodes, tt, boundary, areas, total_area):
     """One damped Lloyd-style pass: move interior nodes toward the
-    area-weighted centroid of their incident triangles; revert wholly if
-    any triangle degenerates."""
-    areas = _signed_areas(nodes, tris)
-    a, b, c = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
-    centroids = (a + b + c) / 3.0
-    wsum = np.zeros(len(nodes))
-    acc = np.zeros((len(nodes), 2))
-    idx = tris.ravel()
-    np.add.at(wsum, idx, np.repeat(areas, 3))
-    np.add.at(acc, idx, np.repeat(areas[:, None] * centroids, 3, axis=0))
+    area-weighted centroid of their incident triangles tt (3, M) of the given
+    areas; revert wholly if any triangle degenerates. idx lists each
+    triangle's vertices in turn, so every node sums in triangle order."""
+    xy = nodes.T.take(tt, axis=1)  # (2, 3, M)
+    a, b, c = xy[:, 0], xy[:, 1], xy[:, 2]
+    idx = tt.T.ravel()
+    n = len(nodes)
+    wsum = np.bincount(idx, np.repeat(areas, 3), minlength=n)
+    weighted = np.repeat(areas * ((a + b + c) / 3.0), 3, axis=1)  # (2, 3M)
+    acc = [np.bincount(idx, w, minlength=n) for w in weighted]
     movable = (~boundary) & (wsum > 0.0)
     target = nodes.copy()
-    target[movable] = acc[movable] / wsum[movable, None]
+    target[movable] = np.stack(acc, axis=1)[movable] / wsum[movable, None]
     smoothed = nodes + 0.5 * (target - nodes)
-    if np.any(_signed_areas(smoothed, tris) <= 1e-14 * total_area):
+    if np.any(_signed_areas(_edge_vectors(smoothed, tt)) <= 1e-14 * total_area):
         return nodes
     return smoothed
 
@@ -456,30 +461,22 @@ def triangulate(poly: ConvexPolygon, h_target: float) -> Mesh:
 
 def refine(mesh: Mesh) -> Mesh:
     """Uniform refinement: every triangle splits into four via edge midpoints,
-    which become nodes n_nodes.. of the fine mesh (its parent_edges)."""
-    tris = mesh.triangles
-    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    uniq, inverse, counts = np.unique(
-        edges, axis=0, return_inverse=True, return_counts=True
-    )
-    n0 = mesh.n_nodes
-    if n0 + len(uniq) > NODE_BUDGET:
+    which become nodes n_nodes.. of the fine mesh (its parent_edges) in the
+    order of the edges' intp keys lo * n_nodes + hi, lo < hi their ends: the
+    pairs' lexicographic order. An edge whose key occurs once is boundary."""
+    tt, n0 = mesh._tt, mesh.n_nodes
+    nxt = tt[[1, 2, 0]]  # rows: the edges (0, 1), (1, 2), (2, 0)
+    keys = (np.minimum(tt, nxt) * n0 + np.maximum(tt, nxt)).ravel()
+    keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    if n0 + len(keys) > NODE_BUDGET:
         raise MeshResourceError(f"refinement exceeds the {NODE_BUDGET} node budget")
-    midpoints = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
-    nodes = np.vstack([mesh.nodes, midpoints])
-    mid_ids = n0 + inverse.reshape(-1, 3)  # columns: edges (0,1), (1,2), (2,0)
-    m01, m12, m20 = mid_ids[:, 0], mid_ids[:, 1], mid_ids[:, 2]
-    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
-    children = np.concatenate(
-        [
-            np.stack([v0, m01, m20], axis=1),
-            np.stack([m01, v1, m12], axis=1),
-            np.stack([m20, m12, v2], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ]
-    )
+    lo, hi = np.divmod(keys, n0)
+    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])])
+    # rows v0, v1, v2, m01, m12, m20 of the (6, M) vertex and midpoint ids
+    ids = np.concatenate([tt, n0 + inverse.reshape(3, -1)])
+    children = ids[_CHILDREN].reshape(3, -1)  # (3, 4M): the children's tt
     boundary = np.concatenate([mesh.boundary_mask, counts == 1])
-    return Mesh(nodes, children, boundary, parent_edges=uniq)
+    return Mesh(nodes, children.T, boundary, parent_edges=np.stack([lo, hi], axis=1))
 
 
 # -- nonlinear solve --------------------------------------------------------

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import oracles
 from torsionlab import (
@@ -24,6 +26,8 @@ from torsionlab.families import p_to_infinity_trend
 from torsionlab.functionals import build_shape_report
 from torsionlab.ptorsion import (
     EPS_LEVELS,
+    PAIR_I,
+    PAIR_J,
     Mesh,
     _ray_priced,
     cold_start,
@@ -736,6 +740,163 @@ def test_band_plan_indices_are_intp():
     tt, slot6 = mesh._band_plan[1], mesh._band_plan[3]
     assert tt.dtype == slot6.dtype == np.intp
     assert tt.flags.c_contiguous and np.array_equal(tt, mesh.triangles.T)
+
+
+# -- setup identity: each mesh array against the form it replaced -----------
+# triangulate, refine and the band plan form their arrays in few numpy passes.
+# These references rebuild them per vertex, with np.unique over edge rows,
+# the COO-built RCM graph and np.add.at; every array must match bit for bit.
+# CI also runs them (-k setup_identity) without numpy's AVX-512 kernels.
+
+
+@pytest.fixture(scope="module")
+def identity_meshes():
+    """Levels 0-3 of the structured square, the 64-gon, the 4:1 ellipse
+    128-gon and six random polygons, each at its default_h0."""
+    shapes = [SQUARE, make_regular_ngon(64, 1.0), make_ellipse_polygon(4.0, 1.0, 128)]
+    shapes += [random_convex_polygon([25, i]) for i in range(6)]
+    out = []
+    for poly in shapes:
+        mesh = triangulate(poly, default_h0(poly))
+        out.append((poly, 0, mesh))
+        for lvl in range(1, 4):
+            mesh = refine(mesh)
+            out.append((poly, lvl, mesh))
+    return out
+
+
+def _reference_refine(mesh):
+    """(nodes, triangles, boundary_mask, parent_edges) of refine(mesh), its
+    edges numbered by np.unique over the sorted (lo, hi) rows."""
+    tris = mesh.triangles
+    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    uniq, inverse, counts = np.unique(edges, axis=0, return_inverse=True, return_counts=True)
+    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])])
+    m01, m12, m20 = (mesh.n_nodes + inverse.reshape(-1, 3)).T
+    v0, v1, v2 = tris.T
+    children = np.concatenate(
+        [
+            np.stack([v0, m01, m20], axis=1),
+            np.stack([m01, v1, m12], axis=1),
+            np.stack([m20, m12, v2], axis=1),
+            np.stack([m01, m12, m20], axis=1),
+        ]
+    )
+    return nodes, children, np.concatenate([mesh.boundary_mask, counts == 1]), uniq
+
+
+def _assert_refine_identical(mesh, label):
+    fine = refine(mesh)
+    nodes, children, boundary, parent_edges = _reference_refine(mesh)
+    assert np.array_equal(fine.parent_edges, parent_edges), label
+    assert np.array_equal(fine.triangles, children), label
+    assert np.array_equal(fine.boundary_mask, boundary), label
+    assert np.array_equal(fine.nodes, nodes), label
+
+
+def _reference_plan(mesh):
+    """(perm, kd, slot6, nnz) of the band plan from the RCM order of the graph
+    summed from the COO entries of all nine local pairs, nnz counting the
+    occupied band slots."""
+    tri, m = mesh.triangles, mesh.n_triangles
+    ni = len(mesh.interior_index)
+    imap = np.full(mesh.n_nodes, -1)
+    imap[mesh.interior_index] = np.arange(ni)
+    ti = imap[tri]
+    rows = np.broadcast_to(ti[:, :, None], (m, 3, 3)).ravel()
+    cols = np.broadcast_to(ti[:, None, :], (m, 3, 3)).ravel()
+    kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+    graph = csr_matrix((np.ones(len(kept)), (rows[kept], cols[kept])), shape=(ni, ni))
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    rank = np.full(mesh.n_nodes, -1)
+    rank[mesh.interior_index[perm]] = np.arange(ni)
+    r = rank[tri.T]
+    ri, rj = r[PAIR_I], r[PAIR_J]
+    col, off = np.minimum(ri, rj), np.abs(ri - rj)
+    kd = int(off[col >= 0].max(initial=0))
+    slot6 = np.where(col >= 0, off + (kd + 1) * col, (kd + 1) * ni)
+    counts = np.bincount(slot6.ravel(), minlength=(kd + 1) * ni + 1)[:-1]
+    occupied = counts.reshape(ni, kd + 1) > 0  # column 0: the diagonal
+    return perm, kd, slot6, 2 * int(occupied.sum()) - int(occupied[:, 0].sum())
+
+
+def _reference_areas(nodes, tris):
+    """(M,) signed triangle areas formed from per-vertex gathers."""
+    a, b, c = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
+    return 0.5 * (
+        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    )
+
+
+def _reference_smoothing(nodes, tris, boundary, total_area):
+    """_smooth_interior as summed by np.add.at, the areas formed per vertex."""
+    areas = _reference_areas(nodes, tris)
+    a, b, c = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
+    wsum, acc = np.zeros(len(nodes)), np.zeros((len(nodes), 2))
+    np.add.at(wsum, tris.ravel(), np.repeat(areas, 3))
+    np.add.at(acc, tris.ravel(), np.repeat(areas[:, None] * ((a + b + c) / 3.0), 3, axis=0))
+    movable = (~boundary) & (wsum > 0.0)
+    target = nodes.copy()
+    target[movable] = acc[movable] / wsum[movable, None]
+    smoothed = nodes + 0.5 * (target - nodes)
+    return nodes if np.any(_reference_areas(smoothed, tris) <= 1e-14 * total_area) else smoothed
+
+
+def test_setup_identity_of_refine(identity_meshes):
+    for poly, lvl, mesh in identity_meshes:
+        _assert_refine_identical(mesh, (poly, lvl))
+
+
+def test_setup_identity_of_refine_past_int32_keys():
+    # 47,125 nodes: n0^2 exceeds 2^31, so an int32 key lo * n0 + hi would wrap
+    mesh = triangulate(SQUARE, 1.0 / 153)
+    assert mesh.n_nodes > 46_341
+    _assert_refine_identical(mesh, mesh.n_nodes)
+
+
+def test_setup_identity_of_band_plan(identity_meshes):
+    for poly, lvl, mesh in identity_meshes:
+        perm, kd, slot6, nnz = _reference_plan(mesh)
+        plan = mesh._band_plan
+        assert np.array_equal(plan[4], perm), (poly, lvl)
+        assert plan[5] == kd and plan[6] == nnz, (poly, lvl)
+        assert np.array_equal(plan[3], slot6), (poly, lvl)
+
+
+def test_setup_identity_of_mesh_geometry(identity_meshes):
+    # areas, h_max and the basis gradients from one gather of edge vectors;
+    # the load vector and smoothing summed by bincount; the boundary chain
+    for poly, lvl, mesh in identity_meshes:
+        label = (poly, lvl)
+        a, b, c = (mesh.nodes[mesh.triangles[:, k]] for k in range(3))
+        areas = _reference_areas(mesh.nodes, mesh.triangles)
+        assert np.array_equal(mesh.areas, areas), label
+        h_max = max(np.max(np.hypot(*(q - p).T)) for p, q in ((a, b), (b, c), (c, a)))
+        assert mesh.h_max == h_max, label
+        G = np.empty((2, 3, mesh.n_triangles))
+        for k, (p_opp1, p_opp2) in enumerate(((c, b), (a, c), (b, a))):
+            d = p_opp1 - p_opp2
+            G[0, k] = -d[:, 1]
+            G[1, k] = d[:, 0]
+        G /= 2.0 * areas
+        assert np.array_equal(mesh._band_plan[0], G), label
+        assert mesh._band_plan[0].flags.c_contiguous, label  # component-major in memory too
+        load = np.zeros(mesh.n_nodes)
+        np.add.at(load, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
+        assert np.array_equal(mesh.load_vector, load), label
+        smoothed = ptorsion._smooth_interior(
+            mesh.nodes, mesh.triangles.T, mesh.boundary_mask, mesh.areas, poly.area
+        )
+        reference = _reference_smoothing(mesh.nodes, mesh.triangles, mesh.boundary_mask, poly.area)
+        assert np.array_equal(smoothed, reference), label
+    for poly in {id(poly): poly for poly, _, _ in identity_meshes}.values():
+        for h in (0.5 * default_h0(poly), default_h0(poly), 0.3 * poly.diameter):
+            v, pts = poly.vertices, []
+            for i in range(len(v)):
+                a, b = v[i], v[(i + 1) % len(v)]
+                m = max(1, math.ceil(math.hypot(*(b - a)) / h))
+                pts.append(a[None, :] + (np.arange(m) / m)[:, None] * (b - a)[None, :])
+            assert np.array_equal(ptorsion._boundary_chain(poly, h), np.vstack(pts)), (poly, h)
 
 
 def test_search_trials_gather_no_nodal_values(monkeypatch):
