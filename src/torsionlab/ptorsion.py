@@ -2,15 +2,15 @@
 
 Meshes convex polygons and minimizes the variational energy
 J(u) = (1/p) int |grad u|^p - int u over mesh functions vanishing on the
-boundary, regularized as (1/p) int (|grad u|^2 + eps^2)^(p/2) with eps
-driven down a continuation schedule. Each step is a Newton step with
-a lagged-diffusivity step (weights (|grad u|^2 + eps^2)^((p-2)/2)) as
-fallback. Below p = PRIMAL_DUAL_P_MAX the Newton steps are primal-dual: the
-solve carries a per-triangle flux sigma, which replaces w grad u in one
-factor of the Hessian's rank-one term, so the step no longer overshoots by
-about 1/(p - 1) where |grad u| is below its target. Gradients of
-piecewise-linear functions are constant per triangle, so energies, weights
-and the torsion integral are all exact.
+boundary, regularized as (1/p) int (|grad u|^2 + eps^2)^(p/2) with one
+eps per solve, EPS_REL times the start's max |grad u|. Each step is a
+Newton step with a lagged-diffusivity step (weights
+(|grad u|^2 + eps^2)^((p-2)/2)) as fallback. Below p = PRIMAL_DUAL_P_MAX the
+Newton steps are primal-dual: the solve carries a per-triangle flux sigma,
+which replaces w grad u in one factor of the Hessian's rank-one term, so the
+step no longer overshoots by about 1/(p - 1) where |grad u| is below its
+target. Gradients of piecewise-linear functions are constant per triangle,
+so energies, weights and the torsion integral are all exact.
 Per-triangle arrays are component-major, the M triangles on the last axis:
 gradients are (2, M), and a matrix is priced as the (6, M) values of each
 triangle's six lower local pairs. Every linear system is symmetric positive
@@ -161,12 +161,15 @@ class Mesh:
         slot6[e, m] of the Fortran-ordered (kd + 1, n) LAPACK lower band
         array or, if it touches a boundary node, into the dump slot
         (kd + 1) n, which _assemble drops. tt and slot6 are intp, the index
-        type of take and bincount, which would otherwise cast them.
+        type of take and bincount, which would otherwise cast them. A mesh
+        with no interior node has no plan: MeshResourceError.
         """
+        ni = len(self.interior_index)
+        if ni == 0:
+            raise MeshResourceError("mesh has no interior nodes; decrease h_target")
         G, tt = self._grads, self._tt
         gg = G.take(PAIR_I, axis=1) * G.take(PAIR_J, axis=1)
         k6 = self.areas * (gg[0] + gg[1])
-        ni = len(self.interior_index)
         imap = np.full(self.n_nodes, -1, dtype=np.intp)
         imap[self.interior_index] = np.arange(ni)
         ti = imap[tt]  # (3, M), -1 on the boundary
@@ -485,32 +488,31 @@ def refine(mesh: Mesh) -> Mesh:
 # Solves and family sweeps accept p in (1, P_MAX_SUPPORTED].
 P_MAX_SUPPORTED = 32.0
 
-# Relative regularization levels: eps = eps_rel * max |grad u| per level.
-EPS_LEVELS = tuple(10.0**-k for k in range(2, 11))
-# A level before the last ends once a step lowers the energy by less than
-# TOL_LAGGED (relative); the last level ends on a full (lam = 1) step that
-# lowers it by less than TOL_NEWTON.
-TOL_LAGGED = 1e-6
+# Relative regularization of every solve: eps = EPS_REL * max |grad u| of
+# the ray-scaled start. A solve ends on a full (lam = 1) step that lowers the
+# energy by less than TOL_NEWTON (relative).
+EPS_REL = 1e-10
 TOL_NEWTON = 1e-10
 # Floor of the lagged weights relative to their maximum. Unfloored, a flat
-# triangle at p = 32 weighs (eps_rel^2)^15 ~ 1e-60 and the lagged point lands
-# ~1e56 |u| away, out of the halvings' reach; the floor keeps it near
-# |u| / 1e-10. For p < 2 the weights stay above eps_rel^(2-p) >= 1e-10.
+# triangle at p = 32 weighs (EPS_REL^2)^15 ~ 1e-300 and the lagged point lands
+# far out of the halvings' reach; the floor keeps it near |u| / 1e-10. For
+# p < 2 the weights stay above EPS_REL^(2-p) >= 1e-10.
 LOG_WEIGHT_FLOOR = math.log(1e-10)
 # A power x^(p/2) that underflows takes libm's slow path (10-20x at p = 32), so
 # bases are raised to POWER_FLOOR^(2/p); each adds at most area * POWER_FLOOR.
 POWER_FLOOR = 1e-300
-# Iteration budget of one solve, over all eps levels.
+# Iteration budget of one solve.
 MAX_ITERS = 500
 # At or below this p, a refined level of a refinement study starts from the
-# prolonged coarse solution (nested iteration) on the last eps level; above
-# it, from cold_start. Over four levels of ten model shapes (six random
-# polygons, the square, the 64-gon, the 4:1 and 10:1 ellipses), the prolonged
-# start took 224 against 345 iterations at p = 1.5 (0.09 against 0.19 s),
-# about 20% less time at p = 3 and 5 for about as many, and the same time at
-# p = 8. cold_start took fewer iterations and less time at p = 10 and 16
-# (264 against 307, 293 against 378; 944 against 1065 on 80 corridor
-# polygons at p = 10), and at p = 32 fewer iterations but more time.
+# prolonged coarse solution (nested iteration); above it, from cold_start.
+# Measured while cold starts still walked a ladder of eps levels, over four
+# levels of ten model shapes (six random polygons, the square, the 64-gon,
+# the 4:1 and 10:1 ellipses): the prolonged start took 224 against 345
+# iterations at p = 1.5 (0.09 against 0.19 s), about 20% less time at p = 3
+# and 5 for about as many, and the same time at p = 8. cold_start took fewer
+# iterations and less time at p = 10 and 16 (264 against 307, 293 against
+# 378; 944 against 1065 on 80 corridor polygons at p = 10), and at p = 32
+# fewer iterations but more time.
 NESTED_START_P_MAX = 8.0
 # Below this p, Newton steps are primal-dual (Chan, Golub and Mulet, SIAM J.
 # Sci. Comput. 20, 1999): each solve carries a per-triangle flux sigma from
@@ -528,7 +530,9 @@ PRIMAL_DUAL_P_MAX = 1.45
 class TorsionSolution:
     """Discrete p-torsion function and its integral on one mesh. iterations
     is newton_steps + lagged_steps, the steps tried; at p = 2 it is 1, the
-    linear solve. backtracks counts the line-search trials rejected."""
+    linear solve. energy_trace lists the regularized energy after each
+    accepted step, in order (at p = 2, the one energy), and backtracks
+    counts the line-search trials rejected."""
 
     mesh: Mesh
     p: float
@@ -614,48 +618,36 @@ def _flux_step(sigma, gu, gd, g, eps2, p, lam, s):
         return out
 
 
-def solve_p_torsion(
-    mesh: Mesh, p: float, start: np.ndarray, first_eps_level: int = 0
-) -> TorsionSolution:
-    """Minimize the discrete p-torsion energy by Newton steps along a
-    continuation in the regularization, with lagged diffusivity as fallback.
+def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray) -> TorsionSolution:
+    """Minimize the discrete p-torsion energy, regularized by one eps, by
+    Newton steps with lagged diffusivity as fallback.
 
     It starts from `start` (nodal values; boundary values are taken as 0),
     such as cold_start or a coarser solution prolonged. The start is priced
     as every line-search trial and the end are, by _ray_priced without
     regularization: it moves to its ray minimizer unless that raises the
     energy. At p = 2 the solve is one linear solve and `start` is not used.
-    At each level of EPS_LEVELS, from index first_eps_level on (a start near
-    the minimizer, as a refinement study's warm starts are, begins on the
-    last), eps = eps_rel * max |grad u| for the current iterate. Each step
-    tries the Newton direction of the regularized energy first and the
-    lagged (Kacanov) step only where Newton is rejected. For p < PRIMAL_DUAL_P_MAX the Newton steps are primal-dual: the
-    solve carries a per-triangle flux sigma for Mesh.energy_hessian, the
-    primal flux w grad u at the start and after a lagged step, moved by
-    _flux_step after each accepted Newton step and kept across eps levels;
-    the right-hand side stays the energy's gradient, so each direction still
-    descends the same energy. Either step goes through one halving line
-    search, against the ray minimizer of each trial point, and must not
-    raise the energy. A search starts at lam = 1 after a search that
-    accepted its first trial, and at min(1, 2 lam) after one that
-    backtracked to lam (a search that accepts nothing leaves this start as
-    it was). A level ends on a step that lowers the energy by less than
-    TOL_LAGGED; when that is its first step and a full (lam = 1) Newton
-    step, the last level comes next. On the last level a step must lower
-    the energy. It converges on a full step that lowers the energy by less
-    than TOL_NEWTON, or when both kinds of step are rejected (the
-    floating-point floor). A converged u with nodes below 0 offers
-    max(u, 0) as one more candidate, priced like the end, and takes it
-    unless it raises the energy. A solve that has not converged after
-    MAX_ITERS iterations, over all levels, raises ConvergenceError carrying
-    its last iterate.
+    eps = EPS_REL * max |grad u| of the ray-scaled start, once for the whole
+    solve. Each step tries the Newton direction of the regularized energy
+    first and the lagged (Kacanov) step only where Newton is rejected. For
+    p < PRIMAL_DUAL_P_MAX the Newton steps are primal-dual: the solve carries
+    a per-triangle flux sigma for Mesh.energy_hessian, the primal flux
+    w grad u at the start and after a lagged step, moved by _flux_step after
+    each accepted Newton step; the right-hand side stays the energy's
+    gradient, so each direction still descends the same energy. Either step
+    goes through one halving line search, against the ray minimizer of each
+    trial point, and must lower the energy. A search starts at lam = 1 after
+    a search that accepted its first trial, and at min(1, 2 lam) after one
+    that backtracked to lam (a search that accepts nothing leaves this start
+    as it was). The solve converges on a full step that lowers the energy by
+    less than TOL_NEWTON, or when both kinds of step are rejected (the
+    floating-point floor). A converged u with nodes below 0 offers max(u, 0)
+    as one more candidate, priced like the end, and takes it unless it
+    raises the energy. A solve that has not converged after MAX_ITERS
+    iterations raises ConvergenceError carrying its last iterate.
     """
     _check_p(p)
-    if not 0 <= first_eps_level < len(EPS_LEVELS):
-        raise ValueError(f"first_eps_level {first_eps_level} is not an index of EPS_LEVELS")
     interior = mesh.interior_index
-    if interior.size == 0:
-        raise MeshResourceError("mesh has no interior nodes; decrease h_target")
     load = mesh.load_vector
     b_int = load[interior]
 
@@ -674,18 +666,18 @@ def solve_p_torsion(
         u = linear_solve(np.ones(mesh.n_triangles))
         t_p = float(load @ u)
         e2 = _energy(mesh, mesh.gradient_squares(u), t_p, p, 0.0)
-        return _checked(TorsionSolution(mesh, p, u, t_p, e2, 1, True, [(0, e2)]))
+        return _checked(TorsionSolution(mesh, p, u, t_p, e2, 1, True, [e2]))
 
     u = np.array(start, dtype=float)
     u[mesh.boundary_mask] = 0.0
     iterations = trials = 0
 
-    def search(u, gu, f_u, d, lam, j_cur, eps2, must_lower):
+    def search(u, gu, f_u, d, lam, j_cur, eps2):
         """Halve lam until u + lam d, or its ray minimizer, does not raise the
         energy at eps2; trials are priced from the gradients of u and d and
         from f_u = b.u. The accepted (point, lam, ray scale s, gradient of
-        d), or None after 40 halvings or, if must_lower, when it does not
-        lower the energy (passed by rounding alone)."""
+        d), or None after 40 halvings or when it does not lower the energy
+        (passed by rounding alone)."""
         nonlocal trials
         f_d = float(load @ d)
         with np.errstate(over="ignore"):
@@ -699,7 +691,7 @@ def solve_p_torsion(
                 lam *= 0.5
             else:
                 return None
-        return None if must_lower and j_c >= j_cur else ((u + lam * d) * s, lam, s, gd)
+        return None if j_c >= j_cur else ((u + lam * d) * s, lam, s, gd)
 
     def lagged_point(g, eps2):
         # weights (|grad u|^2 + eps^2)^((p-2)/2), scaled to max 1 in log space
@@ -725,63 +717,48 @@ def solve_p_torsion(
         s = _ray_priced(mesh, _squares(gu), float(load @ u), p, 0.0)[1]
         u, gu = u * s, gu * s
         g = _squares(gu)
+        eps2 = (EPS_REL * EPS_REL) * (float(g.max()) or 1.0)
+        f = float(load @ u)
+        j_cur = _energy(mesh, g, f, p, eps2)
     trace: list = []
     converged = False
     lam0 = 1.0  # first trial of the next search
     primal_dual = p < PRIMAL_DUAL_P_MAX
     sigma = None  # the primal-dual flux; None: the primal flux w grad u
     newton_steps = lagged_steps = 0
-    last = len(EPS_LEVELS) - 1
-    li = first_eps_level
-    while True:
-        eps2 = (EPS_LEVELS[li] * EPS_LEVELS[li]) * (float(g.max()) or 1.0)
+    while iterations < MAX_ITERS:
+        accepted = None
+        d = newton_direction(gu, g, eps2, sigma)
+        if d is not None:
+            iterations += 1
+            newton_steps += 1
+            accepted = search(u, gu, f, d, lam0, j_cur, eps2)
+        newton = accepted is not None
+        if not newton:
+            if iterations >= MAX_ITERS:
+                break
+            iterations += 1
+            lagged_steps += 1
+            d = lagged_point(g, eps2) - u
+            accepted = search(u, gu, f, d, lam0, j_cur, eps2)
+        if accepted is None:
+            converged = True  # stationary to float precision
+            break
+        u, lam, s, gd = accepted
+        lam0 = 1.0 if lam == lam0 else min(1.0, 2.0 * lam)
+        if newton and primal_dual:
+            sigma = _flux_step(sigma, gu, gd, g, eps2, p, lam, s)
+        else:
+            sigma = None  # a lagged step resets the flux to the primal one
         f = float(load @ u)
         with np.errstate(over="ignore"):
-            j_cur = _energy(mesh, g, f, p, eps2)
-        remaining = MAX_ITERS - iterations
-        cap = remaining if li == last else max(10, remaining // (2 * (last + 1 - li)))
-        settled = False  # the level ended on its first step, a full Newton step
-        for step in range(cap):
-            accepted = None
-            d = newton_direction(gu, g, eps2, sigma) if iterations < MAX_ITERS else None
-            if d is not None:
-                iterations += 1
-                newton_steps += 1
-                accepted = search(u, gu, f, d, lam0, j_cur, eps2, li == last)
-            newton = accepted is not None
-            if not newton:
-                if iterations >= MAX_ITERS:
-                    break
-                iterations += 1
-                lagged_steps += 1
-                d = lagged_point(g, eps2) - u
-                accepted = search(u, gu, f, d, lam0, j_cur, eps2, li == last)
-            if accepted is None:
-                converged = li == last  # stationary to float precision
-                break
-            u, lam, s, gd = accepted
-            lam0 = 1.0 if lam == lam0 else min(1.0, 2.0 * lam)
-            if newton and primal_dual:
-                sigma = _flux_step(sigma, gu, gd, g, eps2, p, lam, s)
-            else:
-                sigma = None  # a lagged step resets the flux to the primal one
-            f = float(load @ u)
-            with np.errstate(over="ignore"):
-                gu = mesh.gradient_field(u)
-                g = _squares(gu)
-                j_prev, j_cur = j_cur, _energy(mesh, g, f, p, eps2)
-            rel_dec = (j_prev - j_cur) / max(abs(j_cur), 1e-300)
-            trace.append((li, j_cur))
-            if li == last:
-                if lam == 1.0 and rel_dec < TOL_NEWTON:
-                    converged = True
-                    break
-            elif rel_dec < TOL_LAGGED:
-                settled = newton and lam == 1.0 and step == 0
-                break
-        if li == last or iterations >= MAX_ITERS:
+            gu = mesh.gradient_field(u)
+            g = _squares(gu)
+            j_prev, j_cur = j_cur, _energy(mesh, g, f, p, eps2)
+        trace.append(j_cur)
+        if lam == 1.0 and (j_prev - j_cur) / max(abs(j_cur), 1e-300) < TOL_NEWTON:
+            converged = True
             break
-        li = last if settled else li + 1
     # on the optimal ray b.u equals the p-energy, so the reported integral
     # stays a lower bound of the discrete optimum even if slightly unconverged
     f = float(load @ u)
@@ -906,9 +883,8 @@ def rigidity_with_refinement(
     8 <= p_prev < p, each level starts from its solution on the same mesh.
     Otherwise, for p <= NESTED_START_P_MAX a refined level starts from the
     coarser level's solution, interpolated at edge midpoints (nested
-    iteration), and every other level from cold_start. A warm start (either
-    kind of solution) is solved on the last eps level only; a cold start
-    walks the whole eps ladder. A p outside (1, P_MAX_SUPPORTED] raises
+    iteration), and every other level from cold_start. Every start is solved
+    at the one regularization EPS_REL. A p outside (1, P_MAX_SUPPORTED] raises
     ValueError before any mesh or start is built. On nested meshes T_p
     grows with the level, and equal T_p on the two finest levels, which
     would give a zero error estimate, raise ConvergenceError.
@@ -929,16 +905,15 @@ def rigidity_with_refinement(
         p_prev = previous.solution.p
         if p < p_prev <= 2.0 or 8.0 <= p_prev < p:
             near = previous.solutions
-    warm = len(EPS_LEVELS) - 1
     solutions: list[TorsionSolution] = []
     for k, mesh in enumerate(_nested_meshes(poly, h0, levels)):
         if near and near[k].mesh is mesh:
-            start, eps_level = near[k].u, warm
+            start = near[k].u
         elif solutions and p <= NESTED_START_P_MAX:
-            start, eps_level = mesh.prolong(solutions[-1].u), warm
+            start = mesh.prolong(solutions[-1].u)
         else:
-            start, eps_level = cold_start(poly, mesh, p), 0
-        solutions.append(solve_p_torsion(mesh, p, start=start, first_eps_level=eps_level))
+            start = cold_start(poly, mesh, p)
+        solutions.append(solve_p_torsion(mesh, p, start=start))
     values = [s.t_p for s in solutions]
     d_last = values[-1] - values[-2]
     if d_last == 0.0:
