@@ -505,14 +505,14 @@ POWER_FLOOR = 1e-300
 MAX_ITERS = 500
 # At or below this p, a refined level of a refinement study starts from the
 # prolonged coarse solution (nested iteration); above it, from cold_start.
-# Measured while cold starts still walked a ladder of eps levels, over four
-# levels of ten model shapes (six random polygons, the square, the 64-gon,
-# the 4:1 and 10:1 ellipses): the prolonged start took 224 against 345
-# iterations at p = 1.5 (0.09 against 0.19 s), about 20% less time at p = 3
-# and 5 for about as many, and the same time at p = 8. cold_start took fewer
-# iterations and less time at p = 10 and 16 (264 against 307, 293 against
-# 378; 944 against 1065 on 80 corridor polygons at p = 10), and at p = 32
-# fewer iterations but more time.
+# Over four levels of ten model shapes (six random polygons, the square, the
+# 64-gon, the 4:1 and 10:1 ellipses; best of 7, one BLAS thread), the
+# prolonged start took 203 against 275 iterations at p = 1.5 (0.24 against
+# 0.44 s), 176 against 178 at p = 3 (10% less time) and 217 against 199 at
+# p = 5 (5% less time). cold_start took fewer iterations from p = 5 up:
+# 223 against 271 at p = 8 (5% less time), 233 against 289 at p = 10 (3%)
+# and 270 against 357 at p = 16 (20%); at p = 32 fewer iterations (459
+# against 514) but 39% more time.
 NESTED_START_P_MAX = 8.0
 # Below this p, Newton steps are primal-dual (Chan, Golub and Mulet, SIAM J.
 # Sci. Comput. 20, 1999): each solve carries a per-triangle flux sigma from

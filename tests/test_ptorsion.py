@@ -1239,7 +1239,13 @@ def test_primal_dual_solves_agree_with_primal_ones(monkeypatch):
     # solves' T_p, in fewer iterations wherever a primal search backtracked.
     # With primal steps (PRIMAL_DUAL_P_MAX lowered to 1) the kappa = 1000
     # ellipse at p = 1.05 ends with nodes a rounding below 0, and the
-    # truncation candidate max(u, 0) is kept
+    # truncation candidate max(u, 0) is kept.
+    # Two cases have no overshoot to remove: on the 64-gon's level-2 mesh
+    # (929 nodes) at p = 1.05 and 1.2 the disk-profile start is so near the
+    # minimizer that the primal solve never backtracks, and both solves take
+    # 4 Newton steps. They are pinned as such, so that a lost saving anywhere
+    # else, or a new overshoot there, fails the test
+    no_overshoot = {(929, 1.05), (929, 1.2)}
     shapes = [SQUARE, make_regular_ngon(64, 1.0), make_ellipse_polygon(1000.0, 1.0, 128)]
     for poly, level in zip(shapes, (2, 2, 0)):
         mesh = ptorsion._nested_meshes(poly, default_h0(poly), level + 1)[level]
@@ -1249,14 +1255,16 @@ def test_primal_dual_solves_agree_with_primal_ones(monkeypatch):
             monkeypatch.setattr(ptorsion, "PRIMAL_DUAL_P_MAX", 1.0)
             primal = solve_p_torsion(mesh, p, start)
             monkeypatch.undo()
-            label = (mesh.n_nodes, p, sol.iterations, primal.iterations)
+            label = (mesh.n_nodes, p, sol.iterations, primal.iterations, primal.backtracks)
             assert sol.converged and primal.converged, label
             assert sol.u.min() >= 0.0 and primal.u.min() >= 0.0, label
             assert abs(sol.t_p - primal.t_p) <= 1e-8 * primal.t_p, label
-            # where a primal search backtracked (overshot), the flux saves steps
-            assert sol.iterations < primal.iterations or (
-                sol.iterations == primal.iterations and primal.backtracks == 0
-            ), label
+            if (mesh.n_nodes, p) in no_overshoot:
+                assert sol.iterations == primal.iterations == 4, label
+                assert sol.backtracks == primal.backtracks == 0, label
+            else:
+                assert primal.backtracks > 0, label
+                assert sol.iterations < primal.iterations, label
 
 
 def test_primal_dual_steps_only_below_their_constant(monkeypatch):
