@@ -1,7 +1,7 @@
 """Cold-start robustness of the p-torsion solver over a broad set of shapes.
 
 Runs a standalone three-level refinement study of T_p for each of 52 convex
-polygons at 11 exponents p from 1.05 to 32, and prints per p the solves,
+polygons at 12 exponents p from 1.01 to 32, and prints per p the solves,
 iterations, lagged steps, backtracks, failures and time. The shapes are 40
 random polygons (random_convex_polygon([1000 + s, i]), s < 4, i < 10), the
 1 x 1, 5 x 1 and 500 x 1 rectangles, the regular 64-gon, the ellipse
@@ -29,7 +29,7 @@ from torsionlab import (
 from torsionlab.families import TRIANGLES
 from torsionlab.ptorsion import rigidity_with_refinement
 
-P_VALUES = (1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 10.0, 16.0, 32.0)
+P_VALUES = (1.01, 1.05, 1.1, 1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 10.0, 16.0, 32.0)
 LEVELS = 3
 # per p: solves, iterations, lagged steps, backtracks, failed studies (and seconds)
 COLUMNS = (("solves", 7), ("iterations", 11), ("lagged", 7), ("backtracks", 11), ("failed", 7))

@@ -76,10 +76,10 @@ def p_to_one_trend(
 ) -> SmallPTrend:
     """Tabulate T(p; .) for a decreasing list of exponents near 1.
 
-    The solver floor is p >= 1.05; the deviation column measures the
-    distance to the Cheeger constant, the p -> 1 limit of T(p; .). It
-    compares T(p) (units length^-p) with h (length^-1), so for p > 1 its
-    value depends on the size of the shape, not only on its form.
+    p >= 1.05 is the trend's floor (the solver takes p > 1); the deviation
+    column is the distance to the Cheeger constant, the p -> 1 limit of
+    T(p; .). It compares T(p) (units length^-p) with h (length^-1), so for
+    p > 1 its value depends on the size of the shape, not only its form.
     """
     ps = [float(p) for p in p_list]
     if min(ps) < 1.05:

@@ -568,28 +568,21 @@ def _energy(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float) -> float
 
 
 def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
-    """(energy at eps2, s) of the lower of u, with squared gradients g and
-    b.u = f, (s = 1) and its ray minimizer s u, which wins ties. On the ray
-    J(s u) = s^p E_p(u) / p - s f is least at s = (f / E_p(u))^(1/(p-1)),
-    with log s clamped to [-700, 700], where exp(log s) is finite. There is
-    no minimizer to compute (s = 1) if u is zero, f <= 0, or g or f is not
-    finite. u's energy and the p-energy that sets s are priced in one
-    stacked pass. Callers allow overflow, as for _energy."""
+    """(energy at eps2, s) of the ray minimizer s u of u, with squared
+    gradients g and b.u = f: J(s u) = s^p E_p(u) / p - s f is least at
+    s = (f / E_p(u))^(1/(p-1)), where b.(s u) = E_p(s u), log s clamped to
+    [-700, 700] so that exp(log s) is finite. s = 1 if u is zero, f <= 0, g
+    or f is not finite, or the energy of s u is not finite. Callers allow
+    overflow, as for _energy."""
     g_top = float(np.maximum.reduce(g))
-    if not (0.0 < g_top < math.inf and 0.0 < f < math.inf):
-        return _energy(mesh, g, f, p, eps2), 1.0
-    x = np.empty((2, len(g)))
-    np.add(g, eps2, out=x[0])
-    np.divide(g, g_top, out=x[1])  # g_top scaled out: the p/2 power cannot overflow
-    e_reg, e_scaled = _power_sums(mesh, x, p)
-    j = float(e_reg) / p - f
-    log_e = 0.5 * p * math.log(g_top) + math.log(float(e_scaled))
-    s = math.exp(min(max((math.log(f) - log_e) / (p - 1.0), -700.0), 700.0))
-    if s != 1.0:
+    if 0.0 < g_top < math.inf and 0.0 < f < math.inf:
+        # g_top scaled out: the p/2 power cannot overflow
+        log_e = 0.5 * p * math.log(g_top) + math.log(float(_power_sums(mesh, g / g_top, p)))
+        s = math.exp(min(max((math.log(f) - log_e) / (p - 1.0), -700.0), 700.0))
         j_s = _energy(mesh, g * s * s, s * f, p, eps2)
-        if j_s <= j:
+        if math.isfinite(j_s):
             return j_s, s
-    return j, 1.0
+    return _energy(mesh, g, f, p, eps2), 1.0
 
 
 def _flux_step(sigma, gu, gd, g, eps2, p, lam, s):
@@ -623,10 +616,11 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray) -> TorsionSolution:
     Newton steps with lagged diffusivity as fallback.
 
     It starts from `start` (nodal values; boundary values are taken as 0),
-    such as cold_start or a coarser solution prolonged. The start is priced
-    as every line-search trial and the end are, by _ray_priced without
-    regularization: it moves to its ray minimizer unless that raises the
-    energy. At p = 2 the solve is one linear solve and `start` is not used.
+    such as cold_start or a coarser solution prolonged. The start, every
+    line-search trial and the end move to their ray minimizers by
+    _ray_priced (the start and the end without regularization), so T_p = b.u
+    is the end's p-energy, a lower bound of the discrete optimum. At p = 2
+    the solve is one linear solve and `start` is not used.
     eps = EPS_REL * max |grad u| of the ray-scaled start, once for the whole
     solve. Each step tries the Newton direction of the regularized energy
     first and the lagged (Kacanov) step only where Newton is rejected. For
@@ -643,7 +637,10 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray) -> TorsionSolution:
     less than TOL_NEWTON, or when both kinds of step are rejected (the
     floating-point floor). A converged u with nodes below 0 offers max(u, 0)
     as one more candidate, priced like the end, and takes it unless it
-    raises the energy. A solve that has not converged after MAX_ITERS
+    raises the energy. Cold solves at p = 1.01 need it on the 10:1, 100:1
+    and 1000:1 ellipse 128-gons: on the base meshes of the first two they
+    stop at min u = -3.5e-5 and -5.4e-2 times max u, beyond _checked's
+    -1e-10 bound. A solve that has not converged after MAX_ITERS
     iterations raises ConvergenceError carrying its last iterate.
     """
     _check_p(p)
@@ -673,7 +670,7 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray) -> TorsionSolution:
     iterations = trials = 0
 
     def search(u, gu, f_u, d, lam, j_cur, eps2):
-        """Halve lam until u + lam d, or its ray minimizer, does not raise the
+        """Halve lam until the ray minimizer s (u + lam d) does not raise the
         energy at eps2; trials are priced from the gradients of u and d and
         from f_u = b.u. The accepted (point, lam, ray scale s, gradient of
         d), or None after 40 halvings or when it does not lower the energy

@@ -135,6 +135,39 @@ def test_shape_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["schema_version"] == "1"
 
 
+def test_shape_spec_from_a_file(tmp_path, capsys):
+    # --spec without a leading brace is a path to a JSON file
+    spec = '{"kind":"random","seed":9,"n":10}'
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    argv = ["--p", "2", "--levels", "2"]
+    code_file, out_file, _ = run_cli(capsys, "shape", "--spec", str(path), *argv)
+    code_inline, out_inline, _ = run_cli(capsys, "shape", "--spec", spec, *argv)
+    assert code_file == code_inline == 0
+    assert out_file == out_inline
+    code, out, err = run_cli(capsys, "shape", "--spec", str(tmp_path / "missing.json"), *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error") and "cannot read shape spec file" in err
+
+
+def test_shape_dump_mesh(capsys):
+    spec = '{"kind":"random","seed":9,"n":10}'
+    argv = ["shape", "--spec", spec, "--p", "2", "--levels", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "mesh" not in json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--dump-mesh")
+    assert code == 0
+    block = json.loads(out)["mesh"]
+    poly = torsionlab.shape_from_json(spec)
+    mesh = ptorsion.triangulate(poly, ptorsion.default_h0(poly))
+    assert list(block) == ["nodes", "triangles", "boundary_mask"]
+    assert len(block["nodes"]) == len(block["boundary_mask"]) == mesh.n_nodes
+    assert len(block["triangles"]) == mesh.n_triangles
+    assert sum(block["boundary_mask"]) == int(mesh.boundary_mask.sum())
+
+
 def test_sweep_cell_count(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -243,6 +276,17 @@ def test_verify_pairs_table(capsys):
     assert len(data["rows"]) == 2
     for row in data["rows"]:
         assert list(row) == ["index", "t_norm_a", "t_norm_b", "margin", "slack", "status"]
+
+
+def test_pairs_violated_exit_3(capsys, monkeypatch):
+    # a <= b / 2 guarantees the pair; a negative slack turns its row violated
+    monkeypatch.setattr(ptorsion.RigidityEstimate, "slack", property(lambda self: -1e9))
+    argv = ["pairs", "--a", "0.4", "--b", "1", "--p", "2", "--levels", "2", "--count", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    data = json.loads(out)
+    assert data["guaranteed"] is True
+    assert [row["status"] for row in data["rows"]] == ["violated"]
 
 
 def test_cheeger_subcommand(capsys):

@@ -480,19 +480,19 @@ def _ray_scale_composed(mesh, g, f, p):
 
 
 def _ray_priced_composed(mesh, g, f, p, eps2):
-    """A trial's price as two energies and a ray scale, each its own pass."""
-    j = _energy_composed(mesh, g, f, p, eps2)
+    """A trial's price as the energy of its ray minimizer, or its own energy
+    (s = 1) where that is not finite, each sum its own np.sum pass."""
     s = _ray_scale_composed(mesh, g, f, p)
-    if s != 1.0:
-        j_s = _energy_composed(mesh, g * s * s, s * f, p, eps2)
-        if j_s <= j:
-            return j_s, s
-    return j, 1.0
+    j_s = _energy_composed(mesh, g * s * s, s * f, p, eps2)
+    if math.isfinite(j_s):
+        return j_s, s
+    return _energy_composed(mesh, g, f, p, eps2), 1.0
 
 
 def test_fused_ray_pricing_matches_the_composition_bitwise():
-    # the one stacked pass sums each row in the order a lone 1-D sum does,
-    # also past numpy's 8192-element buffer (25600 triangles here)
+    # the pricing's in-place sums add in the order np.sum does, also past
+    # numpy's 8192-element buffer (25600 triangles here); every priced point
+    # is the ray minimizer unless its energy is not finite
     rng = np.random.default_rng(15)
     coarse = triangulate(SQUARE, 0.1)
     meshes = [coarse, triangulate(random_convex_polygon([0, 1]), 0.1), refine(refine(refine(coarse)))]
@@ -512,12 +512,15 @@ def test_fused_ray_pricing_matches_the_composition_bitwise():
                             fused = ptorsion._ray_priced(mesh, g, f, p, eps2)
                             composed = _ray_priced_composed(mesh, g, f, p, eps2)
                         assert np.array(fused).tobytes() == np.array(composed).tobytes(), label
-    # the clamps were reached
+    # the clamps were reached: exp(-700) u is priced, and exp(700) u, whose
+    # energy overflows, leaves u at s = 1
     mesh = meshes[0]
     g = mesh.gradient_squares(SQUARE.boundary_distances(mesh.nodes))
     e_p = float(np.sum(mesh.areas * g ** 0.525))
-    assert _ray_scale_composed(mesh, g, 1e-40 * e_p, 1.05) == math.exp(-700.0)
     assert _ray_scale_composed(mesh, g, 1e40 * e_p, 1.05) == math.exp(700.0)
+    with np.errstate(over="ignore"):
+        assert ptorsion._ray_priced(mesh, g, 1e-40 * e_p, 1.05, 0.0)[1] == math.exp(-700.0)
+        assert ptorsion._ray_priced(mesh, g, 1e40 * e_p, 1.05, 0.0)[1] == 1.0
 
 
 def test_p2_square_matches_series_oracle():
@@ -1326,14 +1329,15 @@ def test_flux_step_solves_the_linearized_flux_relation():
 
 
 def test_truncation_that_raises_the_energy_is_not_kept(monkeypatch):
-    # with primal Newton steps (PRIMAL_DUAL_P_MAX lowered to 1.01) the solve
-    # at p = 1.01 on the 10:1 ellipse's base mesh stops with nodes below 0,
-    # and max(u, 0) is offered as one more candidate and kept; made steeper
-    # (every squared gradient it is priced from is 4x), the candidate raises
-    # the energy, is dropped, and the maximum principle check fires
+    # the solve at p = 1.01 on the 10:1 ellipse's base mesh (209 nodes)
+    # stops with nodes below 0 (min u = -3.5e-5 max u, beyond _checked's
+    # bound), and max(u, 0) is offered as one more candidate and kept; made
+    # steeper (every squared gradient it is priced from is 4x), the
+    # candidate raises the energy, is dropped, and the maximum principle
+    # check fires
     poly = make_ellipse_polygon(10.0, 1.0, 128)
     mesh = triangulate(poly, default_h0(poly))
-    monkeypatch.setattr(ptorsion, "PRIMAL_DUAL_P_MAX", 1.01)
+    assert mesh.n_nodes == 209
     assert solve_p_torsion(mesh, 1.01, cold_start(poly, mesh, 1.01)).u.min() == 0.0
     gradient_squares = Mesh.gradient_squares
     monkeypatch.setattr(Mesh, "gradient_squares", lambda self, u: 4.0 * gradient_squares(self, u))
@@ -1440,3 +1444,26 @@ def test_zero_refinement_difference_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(ptorsion, "solve_p_torsion", flat)
     with pytest.raises(ConvergenceError, match=r"p=3.0\): T_p did not change from level 1 to level 2"):
         rigidity_with_refinement(SQUARE, 3.0, levels=3)
+
+
+def test_every_level_ends_on_its_optimal_ray():
+    # J(s u) is least on the ray where b.(s u) = E_p(s u), so every level's
+    # T_p = b.u must equal its p-energy to rounding: T_p is then a lower
+    # bound of the discrete optimum. Trends as limits runs them; on the
+    # 124-node level of random_convex_polygon([2634, 16]) at p = 1.2 the
+    # minimizer's energy is within rounding of u's (s - 1 = 4.7e-9), so a
+    # rule that kept the lower of the two ended 9.4e-10 off the ray there
+    shapes = [random_convex_polygon([2634, 16])] + [random_convex_polygon([7, i]) for i in range(8)]
+    seen = set()
+    for poly in shapes:
+        for p_list in ((1.2, 1.1, 1.05), (8.0, 16.0, 32.0)):
+            est = None
+            for p in p_list:
+                est = rigidity_with_refinement(poly, p, levels=3, previous=est)
+                for sol in est.solutions:
+                    mesh = sol.mesh
+                    e_p = float(np.sum(mesh.areas * mesh.gradient_squares(sol.u) ** (p / 2.0)))
+                    residual = abs(float(mesh.load_vector @ sol.u) - e_p) / e_p
+                    assert residual <= 1e-12, (mesh.n_nodes, p, residual)
+                    seen.add((mesh.n_nodes, p))
+    assert (124, 1.2) in seen
