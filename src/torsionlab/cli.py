@@ -38,7 +38,7 @@ from .functionals import (
     format_value,
     report_csv_rows,
 )
-from .geometry import make_rectangle, make_regular_ngon, shape_from_json
+from .geometry import SHAPE_KINDS, make_rectangle, make_regular_ngon, shape_from_json
 from .ptorsion import triangulate, default_h0
 
 EXIT_OK = 0
@@ -190,7 +190,6 @@ def cmd_verify(args) -> int:
     else:
         shapes = _bundled_shapes()
     lines = []
-    all_ok = True
     failing = []
     for shape_id, poly in shapes:
         report = build_shape_report(
@@ -198,7 +197,6 @@ def cmd_verify(args) -> int:
         )
         for entry in report.rigidity:
             for v in entry.verdicts:
-                all_ok &= v.passed
                 if not v.passed:
                     failing.append(f"{shape_id} p={format_value(entry.p)} {v.name}")
                 lines.append(
@@ -208,11 +206,11 @@ def cmd_verify(args) -> int:
                     f"{'pass' if v.passed else 'FAIL'}"
                 )
     text = "\n".join(lines) + "\n"
-    summary = "all corridor checks passed\n" if all_ok else (
-        "FAILED checks:\n" + "\n".join("  " + f for f in failing) + "\n"
-    )
+    summary = "all corridor checks passed\n"
+    if failing:
+        summary = "FAILED checks:\n" + "".join(f"  {f}\n" for f in failing)
     _emit(text + summary, args.out)
-    return EXIT_OK if all_ok else EXIT_VERDICT
+    return EXIT_VERDICT if failing else EXIT_OK
 
 
 PAIR_COLUMNS = [f.name for f in fields(PairRow)]
@@ -284,8 +282,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="torsionlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    kinds = "kinds: " + ", ".join(SHAPE_KINDS)
     options = {
-        "--spec": dict(required=True, help="inline JSON or path to a JSON shape spec"),
+        "--spec": dict(required=True, help=f"inline JSON or path to a JSON shape spec; {kinds}"),
         "--levels": dict(type=int, default=3, help="refinement levels"),
         "--h0": dict(type=float, default=None, help="coarse mesh target edge length"),
         "--format": dict(choices=("json", "csv"), default="json"),
@@ -317,7 +316,7 @@ def build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="corridor checks with margins")
     add(pv, "--levels", "--h0", "--out", "--shape-id")
-    pv.add_argument("--spec", default=None, help="shape to verify (default: bundled shapes)")
+    pv.add_argument("--spec", help=f"shape to verify (default: bundled shapes); {kinds}")
     pv.add_argument("--p", type=_parse_floats, default=[1.5, 2.0, 5.0])
     pv.set_defaults(func=cmd_verify)
 
@@ -359,8 +358,8 @@ def main(argv=None) -> int:
     except (InvalidDomainError, SamplingError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except (ConvergenceError, MeshResourceError) as exc:
-        sys.stderr.write(f"solver error: {exc}\n")
+    except (ConvergenceError, MeshResourceError, MemoryError) as exc:
+        sys.stderr.write(f"solver error: {str(exc) or 'out of memory'}\n")
         return EXIT_SOLVER
 
 

@@ -329,8 +329,8 @@ def build_shape_report(
 
 def _entry_from_estimate(g: Geometry, p: float, est: RigidityEstimate) -> RigidityEntry:
     t_norm = normalized_rigidity(est.t_p, g.area, p)
-    sv = saint_venant_gap(g.area, p, est.t_p)
     sv_ref = ball_torsion_integral(p, math.sqrt(g.area / math.pi))
+    sv = sv_ref - est.t_p
     verdicts = corridor_verdicts(
         p,
         g.area,

@@ -33,11 +33,17 @@ CONVEXITY_RTOL = 1e-12
 # EROSION_RTOL * diameter.
 EROSION_RTOL = 1e-14
 
+# Validation and the diameter each build an (n, n, 2) pair array, 64 MiB at
+# this cap: twice the 1000-gon, the largest polygon of any test or workload.
+MAX_VERTICES = 2048
+
 
 def _as_vertex_array(vertices) -> np.ndarray:
     v = np.array(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2:
         raise InvalidDomainError("vertices must be an (n, 2) array of planar points")
+    if len(v) > MAX_VERTICES:
+        raise InvalidDomainError(f"a polygon has at most MAX_VERTICES = {MAX_VERTICES} vertices")
     if not np.all(np.isfinite(v)):
         raise InvalidDomainError("vertices must be finite numbers")
     return v
@@ -270,6 +276,8 @@ def make_rectangle(L: float, R: float) -> ConvexPolygon:
 def make_regular_ngon(n: int, circumradius: float = 1.0) -> ConvexPolygon:
     if n < 3:
         raise InvalidDomainError("regular polygon needs n >= 3")
+    if n > MAX_VERTICES:
+        raise InvalidDomainError(f"regular polygon needs n <= MAX_VERTICES = {MAX_VERTICES}")
     if circumradius <= 0:
         raise InvalidDomainError("circumradius must be positive")
     theta = 2.0 * np.pi * np.arange(n) / n
@@ -283,6 +291,8 @@ def make_ellipse_polygon(a: float, b: float, n: int) -> ConvexPolygon:
         raise InvalidDomainError("ellipse semi-axes must be positive")
     if n < 3:
         raise InvalidDomainError("ellipse polygon needs n >= 3")
+    if n > MAX_VERTICES:
+        raise InvalidDomainError(f"ellipse polygon needs n <= MAX_VERTICES = {MAX_VERTICES}")
     theta = 2.0 * np.pi * np.arange(n) / n
     verts = np.stack([a * np.cos(theta), b * np.sin(theta)], axis=1)
     return ConvexPolygon(verts)
@@ -297,58 +307,36 @@ def make_triangle(p0, p1, p2) -> ConvexPolygon:
     return ConvexPolygon(v)
 
 
-@dataclass(frozen=True)
-class ShapeSpec:
-    """Declarative shape description; each kind builds a ConvexPolygon."""
-
-    kind: str
-    params: dict
-
-    KINDS = ("polygon", "rectangle", "regular_ngon", "ellipse_polygon", "triangle", "random")
-
-    @classmethod
-    def from_json(cls, obj) -> "ShapeSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise InvalidDomainError('shape spec must be an object with a "kind" field')
-        kind = obj["kind"]
-        if kind not in cls.KINDS:
-            raise InvalidDomainError(
-                f"unknown shape kind {kind!r}; expected one of {cls.KINDS}"
-            )
-        params = {k: v for k, v in obj.items() if k != "kind"}
-        return cls(kind, params)
-
-    def build(self) -> ConvexPolygon:
-        p = self.params
-        try:
-            if self.kind == "polygon":
-                return ConvexPolygon(p["vertices"])
-            if self.kind == "rectangle":
-                return make_rectangle(float(p["L"]), float(p["R"]))
-            if self.kind == "regular_ngon":
-                return make_regular_ngon(int(p["n"]), float(p.get("circumradius", 1.0)))
-            if self.kind == "ellipse_polygon":
-                return make_ellipse_polygon(float(p["a"]), float(p["b"]), int(p["n"]))
-            if self.kind == "triangle":
-                pts = p["points"]
-                return make_triangle(pts[0], pts[1], pts[2])
-            if self.kind == "random":
-                return random_convex_polygon(
-                    p["seed"], int(p.get("n", 24)), p.get("mode", "hull-of-uniform")
-                )
-        except KeyError as exc:
-            raise InvalidDomainError(
-                f"shape kind {self.kind!r} is missing parameter {exc}"
-            ) from None
-        except (IndexError, TypeError) as exc:
-            raise InvalidDomainError(f"malformed {self.kind!r} shape spec: {exc}") from None
-        raise InvalidDomainError(f"unknown shape kind {self.kind!r}")
+# Each shape-spec kind and how it builds its polygon from the spec's fields.
+SHAPE_KINDS = {
+    "polygon": lambda p: ConvexPolygon(p["vertices"]),
+    "rectangle": lambda p: make_rectangle(float(p["L"]), float(p["R"])),
+    "regular_ngon": lambda p: make_regular_ngon(int(p["n"]), float(p.get("circumradius", 1.0))),
+    "ellipse_polygon": lambda p: make_ellipse_polygon(float(p["a"]), float(p["b"]), int(p["n"])),
+    "triangle": lambda p: make_triangle(p["points"][0], p["points"][1], p["points"][2]),
+    "random": lambda p: random_convex_polygon(
+        p["seed"], int(p.get("n", 24)), p.get("mode", "hull-of-uniform")
+    ),
+}
 
 
 def shape_from_json(obj) -> ConvexPolygon:
-    return ShapeSpec.from_json(obj).build()
+    """Polygon of a shape spec: a JSON object, or its text, with a "kind" field."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise InvalidDomainError('shape spec must be an object with a "kind" field')
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in SHAPE_KINDS:
+        raise InvalidDomainError(
+            f"unknown shape kind {kind!r}; expected one of {tuple(SHAPE_KINDS)}"
+        )
+    try:
+        return SHAPE_KINDS[kind](obj)
+    except KeyError as exc:
+        raise InvalidDomainError(f"shape kind {kind!r} is missing parameter {exc}") from None
+    except (IndexError, TypeError, OverflowError) as exc:
+        raise InvalidDomainError(f"malformed {kind!r} shape spec: {exc}") from None
 
 
 # -- transforms -------------------------------------------------------------

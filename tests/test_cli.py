@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import torsionlab
-from torsionlab import ptorsion
+from torsionlab import geometry, ptorsion
 from torsionlab.cli import build_parser, main
 
 
@@ -343,6 +343,62 @@ def test_malformed_spec_input_error(capsys, spec):
     assert err.startswith("input error")
     assert json.loads(spec)["kind"] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ['["rectangle"]', "{}"])
+def test_non_string_kind_input_error(capsys, kind):
+    spec = f'{{"kind":{kind}}}'
+    code, _, err = run_cli(capsys, "cheeger", "--spec", spec)
+    assert code == 1
+    assert err.startswith("input error: unknown shape kind")
+    assert "Traceback" not in err
+
+
+_ANGLES = np.linspace(0.0, 2.0 * np.pi, 2049, endpoint=False)
+POLYGON_2049 = json.dumps(
+    {"kind": "polygon", "vertices": np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], 1).tolist()}
+)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"kind":"regular_ngon","n":1e400}', "cannot convert float infinity"),
+        ('{"kind":"ellipse_polygon","a":2,"b":1,"n":1e400}', "cannot convert float infinity"),
+        ('{"kind":"random","seed":1,"n":1e400}', "cannot convert float infinity"),
+        ('{"kind":"regular_ngon","n":1000000}', "needs n <= MAX_VERTICES = 2048"),
+        ('{"kind":"ellipse_polygon","a":2,"b":1,"n":1000000}', "needs n <= MAX_VERTICES = 2048"),
+        (POLYGON_2049, "at most MAX_VERTICES = 2048 vertices"),
+    ],
+    ids=["ngon-n-inf", "ellipse-n-inf", "random-n-inf", "ngon-n-1e6", "ellipse-n-1e6",
+         "polygon-2049"],
+)
+def test_oversized_spec_input_error(capsys, spec, message):
+    # JSON 1e400 is inf; a vertex count over MAX_VERTICES is refused before
+    # any pair array of the vertices is built (at n = 1e6 one takes 14.6 TiB)
+    code, _, err = run_cli(capsys, "cheeger", "--spec", spec)
+    assert code == 1
+    assert err.startswith("input error") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 14.9 GiB"), "Unable to allocate 14.9 GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_out_of_memory_exit_2(capsys, monkeypatch, exc, message):
+    # a random spec's point count is not capped, since the hull of many
+    # points has few vertices; one too large to allocate is a resource failure
+    def allocate(*args):
+        raise exc
+
+    monkeypatch.setattr(geometry, "random_convex_polygon", allocate)
+    code, _, err = run_cli(capsys, "cheeger", "--spec", '{"kind":"random","seed":1,"n":2e9}')
+    assert code == 2
+    assert err == f"solver error: {message}\n"
 
 
 EMPTY_LISTS = [

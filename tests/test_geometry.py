@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from torsionlab import (
     shape_from_json,
 )
 from torsionlab import geometry
-from torsionlab.geometry import ShapeSpec
 
 
 def test_rectangle_measures():
@@ -258,5 +258,35 @@ def test_shape_spec_round_trip():
 
 
 def test_shape_spec_build_matches_maker():
-    spec = ShapeSpec("rectangle", {"L": 3.0, "R": 0.25})
-    assert np.array_equal(spec.build().vertices, make_rectangle(3.0, 0.25).vertices)
+    # every kind of the table calls its maker with the spec's values, its
+    # defaults being the maker's; the spec's text gives the same polygon
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    cases = [
+        ({"kind": "polygon", "vertices": square}, ConvexPolygon(square)),
+        ({"kind": "rectangle", "L": 3.0, "R": 0.25}, make_rectangle(3.0, 0.25)),
+        ({"kind": "regular_ngon", "n": 7}, make_regular_ngon(7)),
+        ({"kind": "regular_ngon", "n": 6, "circumradius": 2.5}, make_regular_ngon(6, 2.5)),
+        ({"kind": "ellipse_polygon", "a": 2, "b": 1, "n": 64}, make_ellipse_polygon(2.0, 1.0, 64)),
+        (
+            {"kind": "triangle", "points": [[0, 0], [0, 3], [4, 0]]},
+            make_triangle((0, 0), (0, 3), (4, 0)),
+        ),
+        ({"kind": "random", "seed": [3, 1]}, random_convex_polygon([3, 1])),
+        (
+            {"kind": "random", "seed": 3, "n": 12, "mode": "perturbed-ngon"},
+            random_convex_polygon(3, 12, "perturbed-ngon"),
+        ),
+    ]
+    assert {spec["kind"] for spec, _ in cases} == set(geometry.SHAPE_KINDS)
+    for spec, poly in cases:
+        assert np.array_equal(shape_from_json(spec).vertices, poly.vertices)
+        assert np.array_equal(shape_from_json(json.dumps(spec)).vertices, poly.vertices)
+
+
+def test_vertex_cap_is_inclusive():
+    # validation and the diameter each build an (n, n, 2) pair array
+    n = geometry.MAX_VERTICES
+    theta = 2.0 * np.pi * np.arange(n + 1) / (n + 1)
+    with pytest.raises(InvalidDomainError, match=f"at most MAX_VERTICES = {n} vertices"):
+        ConvexPolygon(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    assert len(make_regular_ngon(n).vertices) == n
