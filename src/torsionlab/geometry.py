@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -307,15 +308,38 @@ def make_triangle(p0, p1, p2) -> ConvexPolygon:
     return ConvexPolygon(v)
 
 
+def _count(x) -> int:
+    """A spec's count: an int, or a float equal to one (JSON 2e9). Any other
+    value is refused, where int() would read n 6.9 as a hexagon or "6" as 6;
+    an infinite count overflows."""
+    if isinstance(x, float):
+        n = int(x)
+        if n == x:
+            return n
+    return operator.index(x)
+
+
+def _length(x) -> float:
+    """A spec's length: a JSON number, not true, false or a string, which
+    float() would read as 1.0, 0.0 or the number it spells."""
+    if isinstance(x, (bool, str)):
+        raise TypeError(f"a length must be a number, got {json.dumps(x)}")
+    return float(x)
+
+
 # Each shape-spec kind and how it builds its polygon from the spec's fields.
 SHAPE_KINDS = {
     "polygon": lambda p: ConvexPolygon(p["vertices"]),
-    "rectangle": lambda p: make_rectangle(float(p["L"]), float(p["R"])),
-    "regular_ngon": lambda p: make_regular_ngon(int(p["n"]), float(p.get("circumradius", 1.0))),
-    "ellipse_polygon": lambda p: make_ellipse_polygon(float(p["a"]), float(p["b"]), int(p["n"])),
+    "rectangle": lambda p: make_rectangle(_length(p["L"]), _length(p["R"])),
+    "regular_ngon": lambda p: make_regular_ngon(
+        _count(p["n"]), _length(p.get("circumradius", 1.0))
+    ),
+    "ellipse_polygon": lambda p: make_ellipse_polygon(
+        _length(p["a"]), _length(p["b"]), _count(p["n"])
+    ),
     "triangle": lambda p: make_triangle(p["points"][0], p["points"][1], p["points"][2]),
     "random": lambda p: random_convex_polygon(
-        p["seed"], int(p.get("n", 24)), p.get("mode", "hull-of-uniform")
+        p["seed"], _count(p.get("n", 24)), p.get("mode", "hull-of-uniform")
     ),
 }
 

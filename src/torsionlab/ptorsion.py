@@ -509,11 +509,14 @@ MAX_ITERS = 500
 # 64-gon, the 4:1 and 10:1 ellipses; best of 7, one BLAS thread), the
 # prolonged start took 203 against 275 iterations at p = 1.5 (0.24 against
 # 0.44 s), 176 against 178 at p = 3 (10% less time) and 217 against 199 at
-# p = 5 (5% less time). cold_start took fewer iterations from p = 5 up:
-# 223 against 271 at p = 8 (5% less time), 233 against 289 at p = 10 (3%)
-# and 270 against 357 at p = 16 (20%); at p = 32 fewer iterations (459
-# against 514) but 39% more time.
-NESTED_START_P_MAX = 8.0
+# p = 5 (5% less time). cold_start took fewer iterations above p = 5:
+# 226 against 271 at p = 8 (0.28 against 0.30 s, best of 3), 233 against
+# 289 at p = 10 (3%) and 270 against 357 at p = 16 (20%); at p = 32 fewer
+# iterations (459 against 514) but 39% more time. On the 52 broad-set
+# shapes at levels 3 cold refined levels took 828 against 1037 iterations
+# at p = 8 (2.5 against 3.9 s) and 782 against 952 at p = 6; p = 5 was
+# faster cold too, but the corridor's p = 5 estimates keep their start.
+NESTED_START_P_MAX = 5.0
 # Below this p, Newton steps are primal-dual (Chan, Golub and Mulet, SIAM J.
 # Sci. Comput. 20, 1999): each solve carries a per-triangle flux sigma from
 # step to step (see solve_p_torsion). A step then costs about 30 us more at
@@ -532,7 +535,10 @@ class TorsionSolution:
     is newton_steps + lagged_steps, the steps tried; at p = 2 it is 1, the
     linear solve. energy_trace lists the regularized energy after each
     accepted step, in order (at p = 2, the one energy), and backtracks
-    counts the line-search trials rejected."""
+    counts the line-search trials rejected. flux is the (2, M) primal-dual
+    flux sigma of the last iterate, from which a solve at a nearby p may
+    start; None for a primal solve (p >= PRIMAL_DUAL_P_MAX) and after a
+    lagged step, where the flux is the primal one, w grad u."""
 
     mesh: Mesh
     p: float
@@ -545,6 +551,7 @@ class TorsionSolution:
     newton_steps: int = 0
     lagged_steps: int = 0
     backtracks: int = 0
+    flux: np.ndarray | None = None
 
 
 # These run several times per line-search trial on arrays of a few hundred
@@ -611,7 +618,7 @@ def _flux_step(sigma, gu, gd, g, eps2, p, lam, s):
         return out
 
 
-def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray) -> TorsionSolution:
+def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray, flux=None) -> TorsionSolution:
     """Minimize the discrete p-torsion energy, regularized by one eps, by
     Newton steps with lagged diffusivity as fallback.
 
@@ -626,9 +633,13 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray) -> TorsionSolution:
     first and the lagged (Kacanov) step only where Newton is rejected. For
     p < PRIMAL_DUAL_P_MAX the Newton steps are primal-dual: the solve carries
     a per-triangle flux sigma for Mesh.energy_hessian, the primal flux
-    w grad u at the start and after a lagged step, moved by _flux_step after
-    each accepted Newton step; the right-hand side stays the energy's
-    gradient, so each direction still descends the same energy. Either step
+    w grad u after a lagged step and at the start unless `flux` is given,
+    moved by _flux_step after each accepted Newton step; the right-hand
+    side stays the energy's gradient, so each direction still descends the
+    same energy. `flux`, such as the previous p's TorsionSolution.flux on
+    the same mesh, is copied (energy_hessian clips the flux in place) and
+    is not read at p >= PRIMAL_DUAL_P_MAX: the exact flux satisfies
+    -div sigma = 1 at every p, so it starts near the new one. Either step
     goes through one halving line search, against the ray minimizer of each
     trial point, and must lower the energy. A search starts at lam = 1 after
     a search that accepted its first trial, and at min(1, 2 lam) after one
@@ -721,7 +732,8 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray) -> TorsionSolution:
     converged = False
     lam0 = 1.0  # first trial of the next search
     primal_dual = p < PRIMAL_DUAL_P_MAX
-    sigma = None  # the primal-dual flux; None: the primal flux w grad u
+    # the primal-dual flux, a private copy; None: the primal flux w grad u
+    sigma = np.array(flux, dtype=float) if primal_dual and flux is not None else None
     newton_steps = lagged_steps = 0
     while iterations < MAX_ITERS:
         accepted = None
@@ -773,7 +785,7 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray) -> TorsionSolution:
     backtracks = trials - len(trace)  # every search accepts at most its last trial
     sol = TorsionSolution(
         mesh, p, u, t_p, energy, iterations, converged, trace, newton_steps, lagged_steps,
-        backtracks,
+        backtracks, sigma,
     )
     if not converged:
         raise ConvergenceError(
@@ -877,8 +889,9 @@ def rigidity_with_refinement(
 
     Continuation in p: `previous` is the estimate of the p_prev before p on
     the same polygon. If it has as many levels and p < p_prev <= 2 or
-    8 <= p_prev < p, each level starts from its solution on the same mesh.
-    Otherwise, for p <= NESTED_START_P_MAX a refined level starts from the
+    8 <= p_prev < p, each level starts from its solution on the same mesh,
+    and below PRIMAL_DUAL_P_MAX from its flux too (TorsionSolution.flux).
+    Otherwise, for p <= NESTED_START_P_MAX (5) a refined level starts from the
     coarser level's solution, interpolated at edge midpoints (nested
     iteration), and every other level from cold_start. Every start is solved
     at the one regularization EPS_REL. A p outside (1, P_MAX_SUPPORTED] raises
@@ -904,13 +917,14 @@ def rigidity_with_refinement(
             near = previous.solutions
     solutions: list[TorsionSolution] = []
     for k, mesh in enumerate(_nested_meshes(poly, h0, levels)):
+        flux = None
         if near and near[k].mesh is mesh:
-            start = near[k].u
+            start, flux = near[k].u, near[k].flux
         elif solutions and p <= NESTED_START_P_MAX:
             start = mesh.prolong(solutions[-1].u)
         else:
             start = cold_start(poly, mesh, p)
-        solutions.append(solve_p_torsion(mesh, p, start=start))
+        solutions.append(solve_p_torsion(mesh, p, start=start, flux=flux))
     values = [s.t_p for s in solutions]
     d_last = values[-1] - values[-2]
     if d_last == 0.0:

@@ -333,11 +333,20 @@ def test_unread_flags_rejected(capsys, argv, unread):
         '{"kind":"random","seed":"x"}',
         '{"kind":"rectangle","L":null,"R":1}',
         '{"kind":"regular_ngon","n":[3]}',
+        '{"kind":"regular_ngon","n":6.9}',
+        '{"kind":"ellipse_polygon","a":2,"b":1,"n":64.5}',
+        '{"kind":"random","seed":1,"n":10.5}',
+        '{"kind":"rectangle","L":true,"R":1}',
+        '{"kind":"regular_ngon","n":"6"}',
+        '{"kind":"rectangle","L":"2","R":1}',
     ],
     ids=["triangle-one-point", "triangle-points-int", "random-seed-float", "random-seed-str",
-         "rectangle-L-null", "ngon-n-list"],
+         "rectangle-L-null", "ngon-n-list", "ngon-n-float", "ellipse-n-float",
+         "random-n-float", "rectangle-L-bool", "ngon-n-str", "rectangle-L-str"],
 )
 def test_malformed_spec_input_error(capsys, spec):
+    # a count must be an integer and a length a number: n = 6.9 is not read
+    # as 6, nor true as 1.0, nor a string as the number it spells
     code, _, err = run_cli(capsys, "cheeger", "--spec", spec)
     assert code == 1
     assert err.startswith("input error")
@@ -524,8 +533,8 @@ def test_sweep_partly_failed_rows_on_stderr(capsys, monkeypatch):
     # sweep without failures; stderr names the failed row.
     solve = ptorsion.solve_p_torsion
 
-    def stalled(mesh, p, start):
-        sol = solve(mesh, p, start=start)
+    def stalled(mesh, p, start, **kw):
+        sol = solve(mesh, p, start=start, **kw)
         if p == 3.0:
             sol.t_p = 1.0
         return sol

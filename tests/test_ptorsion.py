@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import warnings
@@ -1042,9 +1043,9 @@ def test_mesh_without_interior_nodes_has_no_band_plan():
 
 
 def test_nested_levels_start_from_the_prolonged_coarse_solution():
-    # for p <= 8 each refined level is solve_p_torsion started from the
-    # coarser level's u, interpolated at edge midpoints; that start costs no
-    # linear solve
+    # for p <= NESTED_START_P_MAX each refined level is solve_p_torsion
+    # started from the coarser level's u, interpolated at edge midpoints;
+    # that start costs no linear solve
     poly = random_convex_polygon([41, 2])
     for p in (1.05, 3.0):
         est = rigidity_with_refinement(poly, p, levels=3)
@@ -1108,10 +1109,11 @@ def test_cold_start_is_near_the_disk_minimizer():
 
 
 def test_large_p_levels_are_cold_solves():
-    # above p = 8 every level takes the cold start
+    # above NESTED_START_P_MAX every level of a study with no previous
+    # estimate takes the cold start
     poly = random_convex_polygon([41, 2])
     meshes = ptorsion._nested_meshes(poly, default_h0(poly), 3)
-    for p in (10.0, 32.0):
+    for p in (8.0, 10.0, 32.0):
         est = rigidity_with_refinement(poly, p)
         cold = [solve_p_torsion(mesh, p, cold_start(poly, mesh, p)).t_p for mesh in meshes]
         assert est.values == cold, p
@@ -1119,16 +1121,18 @@ def test_large_p_levels_are_cold_solves():
 
 def test_continuation_in_p_follows_its_start_rule(monkeypatch):
     # each level of a study continues from the previous p's solution on the
-    # same mesh toward p = 1 from p_prev <= 2 and upward from p_prev >= 8;
-    # any other previous estimate leaves every start as it is without one:
-    # the prolonged coarser solution for a refined level at
-    # p <= NESTED_START_P_MAX, cold_start for every other level
+    # same mesh toward p = 1 from p_prev <= 2 and upward from p_prev >= 8,
+    # and below PRIMAL_DUAL_P_MAX from its flux too, which the solve leaves
+    # as it was; any other previous estimate leaves every start as it is
+    # without one: the prolonged coarser solution for a refined level at
+    # p <= NESTED_START_P_MAX, cold_start for every other level, and no flux
     calls = []
     solve = ptorsion.solve_p_torsion
 
-    def recording(mesh, p, start):
-        calls.append((mesh, np.array(start)))
-        return solve(mesh, p, start=start)
+    def recording(mesh, p, start, **kw):
+        flux = kw.get("flux")
+        calls.append((mesh, np.array(start), None if flux is None else np.array(flux)))
+        return solve(mesh, p, start=start, **kw)
 
     monkeypatch.setattr(ptorsion, "solve_p_torsion", recording)
     poly = random_convex_polygon([7, 0])
@@ -1142,17 +1146,24 @@ def test_continuation_in_p_follows_its_start_rule(monkeypatch):
         est = study(poly, p_list[0], None)[0]
         for p in p_list[1:]:
             previous = est
+            fluxes = [None if s.flux is None else s.flux.copy() for s in previous.solutions]
             est, made = study(poly, p, previous)
             assert len(made) == 3, p
-            for (mesh, start), near in zip(made, previous.solutions):
+            for (mesh, start, flux), near, kept in zip(made, previous.solutions, fluxes):
                 assert mesh is near.mesh and np.array_equal(start, near.u), p
+                if p < ptorsion.PRIMAL_DUAL_P_MAX:
+                    assert kept is not None and np.array_equal(flux, kept), p
+                    assert np.array_equal(near.flux, kept), p
+                else:
+                    assert flux is None and kept is None, p
 
     def never(p, previous, levels=3):
         est, alone = study(poly, p, None, levels)
         after = study(poly, p, previous, levels)[1]
         assert len(after) == len(alone) == levels, p
-        for k, ((m1, s1), (m2, s2)) in enumerate(zip(alone, after)):
+        for k, ((m1, s1, f1), (m2, s2, f2)) in enumerate(zip(alone, after)):
             assert m1 is m2 and np.array_equal(s1, s2), p
+            assert f1 is None and f2 is None, (p, k)
             if k and p <= ptorsion.NESTED_START_P_MAX:
                 own = m1.prolong(est.solutions[k - 1].u)
             else:
@@ -1175,16 +1186,17 @@ def test_continuation_in_p_follows_its_start_rule(monkeypatch):
 
 
 def test_warm_solves_match_cold_solves(monkeypatch):
-    # a level started from the prolonged coarse solution (p <= 8) or from
-    # the previous p's solution (p > 8, continued upward) moves T_p by
-    # rounding only against a cold solve of the same mesh, also on the
-    # 64-gon and the kappa = 1000 ellipse
+    # a level started from the prolonged coarse solution
+    # (p <= NESTED_START_P_MAX) or from the previous p's solution (p > 8,
+    # continued upward) moves T_p by rounding only against a cold solve of
+    # the same mesh, also on the 64-gon and the kappa = 1000 ellipse; between
+    # the two both levels start cold
     starts = {}
     solve = ptorsion.solve_p_torsion
 
-    def recording(mesh, p, start):
+    def recording(mesh, p, start, **kw):
         starts[mesh] = np.array(start)
-        return solve(mesh, p, start=start)
+        return solve(mesh, p, start=start, **kw)
 
     monkeypatch.setattr(ptorsion, "solve_p_torsion", recording)
     shapes = [SQUARE, make_regular_ngon(64, 1.0), make_ellipse_polygon(1000.0, 1.0, 128)]
@@ -1195,14 +1207,43 @@ def test_warm_solves_match_cold_solves(monkeypatch):
             base, fine = est.solutions
             if p > 8.0:
                 warm = [(base, previous.solutions[0].u), (fine, previous.solutions[1].u)]
-            else:
+            elif p <= ptorsion.NESTED_START_P_MAX:
                 warm = [(fine, fine.mesh.prolong(base.u))]
+            else:
+                warm = [(sol, cold_start(poly, sol.mesh, p)) for sol in (base, fine)]
             for sol, start in warm:
                 label = (poly, p, sol.mesh.n_nodes)
                 assert np.array_equal(starts[sol.mesh], start), label
                 cold = solve(sol.mesh, p, cold_start(poly, sol.mesh, p))
                 assert abs(sol.t_p - cold.t_p) <= 1e-8 * cold.t_p, (label, sol.t_p, cold.t_p)
             previous = est
+
+
+def test_continued_flux_saves_iterations_on_thin_shapes():
+    # a continued primal-dual level starts from the previous p's flux as
+    # well as its u; against the same trend started from the primal flux
+    # (each previous solution's flux None) it reaches the same T_p in fewer
+    # iterations, also on the thin ellipses and the 500 x 1 rectangle
+    for poly in (
+        make_ellipse_polygon(10.0, 1.0, 128),
+        make_ellipse_polygon(100.0, 1.0, 128),
+        make_rectangle(500.0, 0.5),
+    ):
+        trends = {}
+        for carried in (True, False):
+            est, trend = None, []
+            for p in (1.2, 1.1, 1.05, 1.01):
+                if est is not None and not carried:
+                    solutions = [dataclasses.replace(s, flux=None) for s in est.solutions]
+                    est = dataclasses.replace(est, solutions=solutions)
+                est = rigidity_with_refinement(poly, p, levels=2, previous=est)
+                trend.append(est)
+            trends[carried] = trend
+        for with_flux, without in zip(trends[True], trends[False]):
+            for a, b in zip(with_flux.values, without.values):
+                assert abs(a - b) <= 1e-9 * b, (poly, with_flux.solution.p, a, b)
+        iterations = [sum(est.iterations for est in trends[c]) for c in (True, False)]
+        assert iterations[0] < iterations[1], (poly, iterations)
 
 
 def test_continued_trends_agree_with_standalone_studies(monkeypatch):
@@ -1436,8 +1477,8 @@ def test_zero_refinement_difference_is_a_convergence_error(monkeypatch):
     # finest levels would give error_estimate = 0 and slack = 0
     solve = ptorsion.solve_p_torsion
 
-    def flat(mesh, p, start):
-        sol = solve(mesh, p, start=start)
+    def flat(mesh, p, start, **kw):
+        sol = solve(mesh, p, start=start, **kw)
         sol.t_p = 0.5
         return sol
 
