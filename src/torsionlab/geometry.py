@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist
 
 from .errors import InvalidDomainError, SamplingError
 
@@ -34,8 +35,9 @@ CONVEXITY_RTOL = 1e-12
 # EROSION_RTOL * diameter.
 EROSION_RTOL = 1e-14
 
-# Validation and the diameter each build an (n, n, 2) pair array, 64 MiB at
-# this cap: twice the 1000-gon, the largest polygon of any test or workload.
+# Bounds input size: the diameter's pdist holds n (n - 1) / 2 distances, 16 MiB
+# here and 1.6 GB at 20,000 vertices; the erosion's passes are quadratic in time
+# (512 passes, 19 ms, on the 2048-vertex ellipse). Twice the tests' 1000-gon.
 MAX_VERTICES = 2048
 
 
@@ -48,36 +50,6 @@ def _as_vertex_array(vertices) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise InvalidDomainError("vertices must be finite numbers")
     return v
-
-
-def _validate_convex_ccw(v: np.ndarray) -> None:
-    n = len(v)
-    if n < 3:
-        raise InvalidDomainError(f"a polygon needs at least 3 vertices, got {n}")
-    diff = v[:, None, :] - v[None, :, :]
-    diam = math.sqrt(float(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
-    if diam <= 0.0:
-        raise InvalidDomainError("all vertices coincide")
-    e = np.roll(v, -1, axis=0) - v
-    seplen = np.hypot(e[:, 0], e[:, 1])
-    short = np.flatnonzero(seplen <= SEPARATION_RTOL * diam)
-    if short.size:
-        i = int(short[0])
-        raise InvalidDomainError(
-            f"vertices {i} and {(i + 1) % n} coincide (separation "
-            f"{seplen[i]:.3e} <= {SEPARATION_RTOL:g} x diameter)"
-        )
-    e_next = np.roll(e, -1, axis=0)
-    cross = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
-    bad = np.flatnonzero(cross <= CONVEXITY_RTOL * diam * diam)
-    if bad.size:
-        i = int(bad[0])
-        j, k = (i + 1) % n, (i + 2) % n
-        pts = ", ".join(f"({float(v[m][0]):g}, {float(v[m][1]):g})" for m in (i, j, k))
-        raise InvalidDomainError(
-            f"vertex triple ({i}, {j}, {k}) violates strict convexity / "
-            f"counter-clockwise order: cross product {cross[i]:.6e} at points {pts}"
-        )
 
 
 @dataclass(frozen=True)
@@ -105,18 +77,54 @@ class ConvexPolygon:
     """Strictly convex polygon with counter-clockwise vertices.
 
     Instances are immutable: the vertex array is read-only and all derived
-    quantities are cached. Construction validates vertex count, separation
-    and strict convexity; near-degenerate inputs are rejected, not repaired.
+    quantities are cached. Every polygon but `erode`'s bodies is checked once,
+    when it is built: vertex count, separation, strict convexity and a winding
+    number of one. Near-degenerate inputs are rejected, not repaired.
     """
 
-    def __init__(self, vertices, validate: bool = True):
+    def __init__(self, vertices):
         v = _as_vertex_array(vertices)
-        if validate:
-            _validate_convex_ccw(v)
-        elif len(v) < 3:
-            raise InvalidDomainError("a polygon needs at least 3 vertices")
+        n = len(v)
+        if n < 3:
+            raise InvalidDomainError(f"a polygon needs at least 3 vertices, got {n}")
         v.setflags(write=False)
         self.vertices = v
+        diam = self.diameter
+        if diam <= 0.0:
+            raise InvalidDomainError("all vertices coincide")
+        e = np.roll(v, -1, axis=0) - v
+        seplen = np.hypot(e[:, 0], e[:, 1])
+        short = np.flatnonzero(seplen <= SEPARATION_RTOL * diam)
+        if short.size:
+            i = int(short[0])
+            raise InvalidDomainError(
+                f"vertices {i} and {(i + 1) % n} coincide (separation "
+                f"{seplen[i]:.3e} <= {SEPARATION_RTOL:g} x diameter)"
+            )
+        e_next = np.roll(e, -1, axis=0)
+        cross = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+        bad = np.flatnonzero(cross <= CONVEXITY_RTOL * diam * diam)
+        if bad.size:
+            i = int(bad[0])
+            j, k = (i + 1) % n, (i + 2) % n
+            pts = ", ".join(f"({float(v[m][0]):g}, {float(v[m][1]):g})" for m in (i, j, k))
+            raise InvalidDomainError(
+                f"vertex triple ({i}, {j}, {k}) violates strict convexity / "
+                f"counter-clockwise order: cross product {cross[i]:.6e} at points {pts}"
+            )
+        # all turns are left turns, so they sum to 2 pi times the winding number
+        turning = float(np.sum(np.arctan2(cross, np.einsum("ij,ij->i", e, e_next))))
+        if turning > 3.0 * math.pi:
+            winds = round(turning / (2.0 * math.pi))
+            raise InvalidDomainError(f"the vertices wind {winds} times, not once")
+
+    @classmethod
+    def _unchecked(cls, vertices: np.ndarray) -> ConvexPolygon:
+        """Polygon of the vertices as they are, built without the checks."""
+        poly = object.__new__(cls)
+        vertices.setflags(write=False)
+        poly.vertices = vertices
+        return poly
 
     def __repr__(self):
         return f"ConvexPolygon({len(self.vertices)} vertices, area={self.area:.6g})"
@@ -146,9 +154,7 @@ class ConvexPolygon:
 
     @cached_property
     def diameter(self) -> float:
-        w = self._centered
-        diff = w[:, None, :] - w[None, :, :]
-        return math.sqrt(float(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
+        return float(pdist(self._centered).max())
 
     # -- edge half-planes --------------------------------------------------
 
@@ -177,19 +183,8 @@ class ConvexPolygon:
     @cached_property
     def _erosion(self) -> tuple[tuple[ErosionPiece, ...], np.ndarray]:
         w = self._centered
-        e = np.roll(w, -1, axis=0) - w
-        e_next = np.roll(e, -1, axis=0)
-        turn = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
-        # scale and erode skip validation; the micro-edges erode leaves near
-        # events turn by at worst about -1e-15 relative, well clear of this bound
-        i = int(np.argmin(turn))
-        if turn[i] < -CONVEXITY_RTOL * self.diameter**2:
-            raise InvalidDomainError(
-                f"cross product {turn[i]:.6e} at vertex {(i + 1) % len(w)}: "
-                "the polygon is not convex and counter-clockwise"
-            )
         normals, offsets = self._edge_lines
-        lengths = np.hypot(e[:, 0], e[:, 1])
+        lengths = np.hypot(*(np.roll(w, -1, axis=0) - w).T)
         edges = np.arange(len(lengths))
         tol = EROSION_RTOL * self.diameter
         start, area = 0.0, self.area
@@ -200,10 +195,12 @@ class ConvexPolygon:
             # tan of half the turn angle a at the vertex that ends each edge.
             # Past a = pi/2 sin a / (1 + cos a) cancels, and so does any form
             # through a itself at needle-sharp vertices; (1 - cos a) / sin a
-            # keeps the digits.
+            # keeps the digits. Only the chosen form is divided: near a = pi,
+            # 1 + cos a can be 0 while sin a is not.
             sin = na[:, 0] * nb[:, 1] - na[:, 1] * nb[:, 0]
             cos = np.einsum("ij,ij->i", na, nb)
-            tan_half = np.where(cos >= 0.0, sin / (1.0 + cos), (1.0 - cos) / sin)
+            acute = cos >= 0.0
+            tan_half = np.where(acute, sin, 1.0 - cos) / np.where(acute, 1.0 + cos, sin)
             rates = tan_half + np.roll(tan_half, 1)
             life = lengths / rates
             step = float(np.min(life))
@@ -212,7 +209,12 @@ class ConvexPolygon:
             alive[np.argmin(life)] = False  # so every pass removes an edge
             end = start + step
             perimeter, curvature = float(np.sum(lengths)), float(np.sum(tan_half))
-            if np.count_nonzero(alive) < 3:
+            # rounding can keep an edge that vanishes as the body shrinks to a
+            # segment; kept neighbours whose normals are opposite to within the
+            # convexity tolerance meet nowhere, so the body ends here
+            kept = na[alive]
+            opposite = np.hypot(*(kept + np.roll(kept, -1, axis=0)).T) <= CONVEXITY_RTOL
+            if np.count_nonzero(alive) < 3 or opposite.any():
                 break
             piece = ErosionPiece(start, end, area, perimeter, curvature, edges)
             pieces.append(piece)
@@ -223,12 +225,6 @@ class ConvexPolygon:
         center = np.mean(_line_crossings(na, offsets[edges] - end), axis=0)
         r_in = float(np.min(offsets - normals @ center))
         pieces.append(ErosionPiece(start, r_in, area, perimeter, curvature, edges))
-        rest = pieces[-1].area_at(r_in)
-        if not abs(rest) <= 1e-9 * self.area:
-            raise InvalidDomainError(
-                f"eroded area {rest:.3e} is left at the inradius {r_in:.9g}: "
-                "the polygon is not convex and counter-clockwise"
-            )
         return tuple(pieces), center + self._center
 
     @property
@@ -240,9 +236,10 @@ class ConvexPolygon:
         the straight-skeleton events of the polygon (Aichholzer et al.,
         J.UCS 1995); they cut [0, inradius] into pieces on which the area
         is quadratic. Edges that vanish at the same event leave together.
-        The last event, where fewer than three edges are left, is where the
-        body vanishes: the last piece ends at the distance from the point
-        it shrinks to, the incenter, to the nearest edge line.
+        The last event, where fewer than three edges are left (or two left
+        neighbours face opposite ways), is where the body vanishes: the last
+        piece ends at the distance from the point it shrinks to, the
+        incenter, to the nearest edge line.
         """
         return self._erosion[0]
 
@@ -357,9 +354,11 @@ def shape_from_json(obj) -> ConvexPolygon:
         )
     try:
         return SHAPE_KINDS[kind](obj)
+    except InvalidDomainError:
+        raise
     except KeyError as exc:
         raise InvalidDomainError(f"shape kind {kind!r} is missing parameter {exc}") from None
-    except (IndexError, TypeError, OverflowError) as exc:
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidDomainError(f"malformed {kind!r} shape spec: {exc}") from None
 
 
@@ -370,7 +369,7 @@ def scale(poly: ConvexPolygon, t: float) -> ConvexPolygon:
     """Dilation t * poly about the origin."""
     if not t > 0.0:
         raise InvalidDomainError("scale factor must be positive")
-    return ConvexPolygon(poly.vertices * t, validate=False)
+    return ConvexPolygon(poly.vertices * t)
 
 
 # -- inward erosion ---------------------------------------------------------
@@ -384,7 +383,7 @@ def erode(poly: ConvexPolygon, t: float):
     schedule keeps at t. An edge about to vanish can come out with a
     negative length through rounding, so edges no longer than the
     tolerance are dropped. The result can contain edges shorter than the
-    strict construction tolerance, so it skips revalidation.
+    construction tolerance, so it is the one polygon built unchecked.
     """
     if t < 0.0:
         raise InvalidDomainError("erosion offset must be nonnegative")
@@ -402,7 +401,7 @@ def erode(poly: ConvexPolygon, t: float):
         lengths = d[:, 0] * -na[:, 1] + d[:, 1] * na[:, 0]
         short = lengths <= EROSION_RTOL * poly.diameter
         if not short.any():
-            return ConvexPolygon(corners + poly._center, validate=False)
+            return ConvexPolygon._unchecked(corners + poly._center)
         edges = edges[~short]
     return None
 

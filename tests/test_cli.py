@@ -339,14 +339,19 @@ def test_unread_flags_rejected(capsys, argv, unread):
         '{"kind":"rectangle","L":true,"R":1}',
         '{"kind":"regular_ngon","n":"6"}',
         '{"kind":"rectangle","L":"2","R":1}',
+        '{"kind":"regular_ngon","n":NaN}',
+        '{"kind":"ellipse_polygon","a":2,"b":1,"n":NaN}',
+        '{"kind":"random","seed":1,"n":NaN}',
     ],
     ids=["triangle-one-point", "triangle-points-int", "random-seed-float", "random-seed-str",
          "rectangle-L-null", "ngon-n-list", "ngon-n-float", "ellipse-n-float",
-         "random-n-float", "rectangle-L-bool", "ngon-n-str", "rectangle-L-str"],
+         "random-n-float", "rectangle-L-bool", "ngon-n-str", "rectangle-L-str",
+         "ngon-n-nan", "ellipse-n-nan", "random-n-nan"],
 )
 def test_malformed_spec_input_error(capsys, spec):
     # a count must be an integer and a length a number: n = 6.9 is not read
-    # as 6, nor true as 1.0, nor a string as the number it spells
+    # as 6, nor true as 1.0, nor a string as the number it spells; JSON NaN
+    # is no count either
     code, _, err = run_cli(capsys, "cheeger", "--spec", spec)
     assert code == 1
     assert err.startswith("input error")
@@ -384,11 +389,34 @@ POLYGON_2049 = json.dumps(
 )
 def test_oversized_spec_input_error(capsys, spec, message):
     # JSON 1e400 is inf; a vertex count over MAX_VERTICES is refused before
-    # any pair array of the vertices is built (at n = 1e6 one takes 14.6 TiB)
+    # the diameter's pdist holds its n (n - 1) / 2 distances (4 TB at n = 1e6)
     code, _, err = run_cli(capsys, "cheeger", "--spec", spec)
     assert code == 1
     assert err.startswith("input error") and message in err
     assert "Traceback" not in err
+
+
+_STAR_ANGLES = 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5
+PENTAGRAM_SPEC = json.dumps(
+    {"kind": "polygon", "vertices": np.stack([np.cos(_STAR_ANGLES), np.sin(_STAR_ANGLES)], 1).tolist()}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shape", "--p", "2", "--levels", "2"],
+        ["verify", "--p", "2", "--levels", "2"],
+        ["cheeger"],
+        ["limits", "--levels", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_winding_spec_input_error(capsys, argv):
+    # the pentagram's five left turns wind twice; it is no convex polygon
+    code, _, err = run_cli(capsys, *argv, "--spec", PENTAGRAM_SPEC)
+    assert code == 1
+    assert err == "input error: the vertices wind 2 times, not once\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from torsionlab import (
     InvalidDomainError,
     SamplingError,
     average_distance,
+    cheeger_constant,
     erode,
     make_ellipse_polygon,
     make_rectangle,
@@ -85,6 +87,34 @@ def test_clockwise_rejected():
     cw = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
     with pytest.raises(InvalidDomainError):
         ConvexPolygon(cw)
+
+
+# the regular pentagon's vertices in the order 0, 2, 4, 1, 3: five left turns
+# that wind twice
+_STAR_ANGLES = 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5
+PENTAGRAM = np.stack([np.cos(_STAR_ANGLES), np.sin(_STAR_ANGLES)], axis=1)
+
+
+def test_winding_polygon_rejected():
+    with pytest.raises(InvalidDomainError, match="the vertices wind 2 times, not once"):
+        ConvexPolygon(PENTAGRAM)
+    # the same vertices in convex order are the regular pentagon
+    assert np.isclose(ConvexPolygon(PENTAGRAM[[0, 3, 1, 4, 2]]).area, make_regular_ngon(5).area)
+
+
+def test_diameter_is_max_pair_distance():
+    # bit for bit the largest distance over all vertex pairs
+    polys = [random_convex_polygon(seed, 5 + 13 * seed) for seed in range(8)]
+    polys += [make_regular_ngon(64), make_regular_ngon(1000)]
+    polys += [make_ellipse_polygon(a, 1.0, 128) for a in (4.0, 100.0, 1000.0)]
+    for poly in polys:
+        w = poly._centered.tolist()
+        ref = max(
+            math.sqrt((xa - xb) * (xa - xb) + (ya - yb) * (ya - yb))
+            for i, (xa, ya) in enumerate(w)
+            for xb, yb in w[i + 1:]
+        )
+        assert poly.diameter == ref, poly
 
 
 def test_too_few_vertices_rejected():
@@ -178,12 +208,34 @@ def test_erode_matches_clipping_oracle():
             assert np.isclose(d, inner.inradius, rtol=1e-9), (t, poly)
 
 
-def test_erosion_rejects_unvalidated_nonconvex_polygon():
-    dart = ConvexPolygon([(0.0, 0.0), (2.0, 0.0), (1.0, 1.5), (1.0, 0.5)], validate=False)
-    clockwise = ConvexPolygon(random_convex_polygon(3, 10).vertices[::-1], validate=False)
-    for poly in (dart, clockwise):
-        with pytest.raises(InvalidDomainError):
-            average_distance(poly)
+def test_erosion_ends_where_the_body_vanishes():
+    # bodies that shrink to a segment: rounding can keep one of the two edges
+    # that vanish with the body, whose neighbours then face opposite ways
+    cases = [(1.5, 2000, 0.0), (1.5, 1000, 0.1), (4.0, 1000, 0.5), (10.0, 2048, 0.25),
+             (100.0, 1000, 0.1), (1000.0, 512, 0.25)]
+    for a, n, f in cases:
+        ellipse = make_ellipse_polygon(a, 1.0, n)
+        t = f * ellipse.inradius
+        body = erode(ellipse, t)
+        for poly in (body, ConvexPolygon(body.vertices)):
+            assert np.isclose(poly.inradius, ellipse.inradius - t, rtol=1e-9), (a, n, f)
+            d = poly.boundary_distances(poly.incenter[None])[0]
+            assert np.isclose(d, poly.inradius, rtol=1e-9), (a, n, f)
+            # the eroded area is used up at the inradius
+            assert abs(poly.erosion_schedule[-1].area_at(poly.inradius)) <= 1e-9 * poly.area
+
+
+def test_erosion_near_straight_turns_warn_nothing():
+    # turns within rounding of pi: the eroded 512-gon's last events and a
+    # needle triangle's base corners, where 1 + cos a is 0
+    circle = make_ellipse_polygon(1.0, 1.0, 512)
+    body = ConvexPolygon(erode(circle, 0.1 * circle.inradius).vertices)
+    needle = make_triangle((0.0, 0.0), (1.0, 0.0), (0.5, 1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isclose(body.inradius, 0.9 * circle.inradius, rtol=1e-9)
+        assert np.isclose(cheeger_constant(body).h, 2.0 / (0.9 * circle.inradius), rtol=1e-4)
+        assert np.isclose(needle.inradius, 2.0 * needle.area / needle.perimeter, rtol=1e-9)
 
 
 def test_random_polygon_reproducible():
@@ -284,7 +336,7 @@ def test_shape_spec_build_matches_maker():
 
 
 def test_vertex_cap_is_inclusive():
-    # validation and the diameter each build an (n, n, 2) pair array
+    # the diameter's pdist holds n (n - 1) / 2 distances: 16 MiB at the cap
     n = geometry.MAX_VERTICES
     theta = 2.0 * np.pi * np.arange(n + 1) / (n + 1)
     with pytest.raises(InvalidDomainError, match=f"at most MAX_VERTICES = {n} vertices"):
