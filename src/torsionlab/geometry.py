@@ -90,6 +90,8 @@ class ConvexPolygon:
         v.setflags(write=False)
         self.vertices = v
         diam = self.diameter
+        if not diam < math.inf:  # pdist's squared distances overflowed
+            raise InvalidDomainError("the vertex coordinates are too large: the diameter overflows")
         if diam <= 0.0:
             raise InvalidDomainError("all vertices coincide")
         e = np.roll(v, -1, axis=0) - v

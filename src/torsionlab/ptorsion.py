@@ -16,7 +16,7 @@ gradients are (2, M), and a matrix is priced as the (6, M) values of each
 triangle's six lower local pairs. Every linear system is symmetric positive
 definite on the mesh's interior nodes, summed by one np.bincount straight
 into LAPACK band storage in reverse Cuthill-McKee order (the mesh's one
-band plan) and solved by banded Cholesky.
+band plan) and solved in that order by banded Cholesky.
 
 Axis-aligned rectangles get a structured criss-cross mesh (exactly
 symmetric, robust for aspect ratios in the thousands); every other polygon
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbsv
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.spatial import Delaunay
@@ -63,13 +63,13 @@ CLEARANCE_FACTOR = 0.45
 class BandMatrix:
     """SPD matrix in LAPACK lower band storage, its unknowns in the order perm.
 
-    Entry (i, j), j <= i, of the permuted matrix is ab[i - j, j] of the
-    Fortran-ordered (kd + 1, n) array ab; nnz counts the full matrix's
-    nonzeros. spsolve factors ab in place, so a matrix is solved once.
-    Lower storage: LAPACK's unblocked band Cholesky (kd < 32) then makes
-    unit-stride rank-1 updates, which OpenBLAS keeps on one thread; upper
-    storage factored 5x slower with two OpenBLAS threads than with one at
-    kd = 30."""
+    Unknown k is interior node interior_index[perm[k]]. Entry (i, j), j <= i,
+    of the permuted matrix is ab[i - j, j] of the Fortran-ordered (kd + 1, n)
+    array ab; nnz counts the full matrix's nonzeros. spsolve factors ab in
+    place, so a matrix is solved once. Lower storage: LAPACK's unblocked band
+    Cholesky (kd < 32) then makes unit-stride rank-1 updates, which OpenBLAS
+    keeps on one thread; upper storage factored 5x slower with two OpenBLAS
+    threads than with one at kd = 30."""
 
     ab: np.ndarray | None
     perm: np.ndarray
@@ -77,17 +77,15 @@ class BandMatrix:
 
 
 def spsolve(a: BandMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve a x = rhs by banded Cholesky (LAPACK dpbtrf/dpbtrs), consuming a.
+    """Solve a x = rhs, both in a's order perm, by one LAPACK dpbsv call (band
+    Cholesky: dpbtrf, then dpbtrs), consuming a; rhs is not changed.
 
     Raises numpy.linalg.LinAlgError if a is not positive definite."""
     ab, a.ab = a.ab, None  # factored in place: a second solve must not reuse it
-    ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    _, x, info = dpbsv(ab, rhs, lower=1, overwrite_ab=1)
     if info != 0:
-        raise LinAlgError(f"band matrix is not positive definite (dpbtrf info {info})")
-    x, _ = dpbtrs(ab, rhs[a.perm], lower=1, overwrite_b=1)
-    out = np.empty_like(x)
-    out[a.perm] = x
-    return out
+        raise LinAlgError(f"band matrix is not positive definite (dpbsv info {info})")
+    return x
 
 
 class Mesh:
@@ -147,7 +145,7 @@ class Mesh:
     @cached_property
     def _band_plan(self):
         """The mesh's one plan of FEM kernels, component-major (triangles on
-        the last axis): (G, tt, k6, slot6, perm, kd, nnz).
+        the last axis): (G, tt, k6, slot6, perm, kd, nnz, rcm_nodes, rcm_tt).
 
         G (2, 3, M) holds the x and y components of the basis gradients,
         tt (3, M) the triangles transposed, and k6 (6, M) the unit-weight
@@ -160,9 +158,10 @@ class Mesh:
         nonzeros, is their count. Pair e of triangle m adds into element
         slot6[e, m] of the Fortran-ordered (kd + 1, n) LAPACK lower band
         array or, if it touches a boundary node, into the dump slot
-        (kd + 1) n, which _assemble drops. tt and slot6 are intp, the index
-        type of take and bincount, which would otherwise cast them. A mesh
-        with no interior node has no plan: MeshResourceError.
+        (kd + 1) n, which _assemble drops. rcm_nodes = interior_index[perm];
+        rcm_tt (3, M) holds the vertices' RCM positions, ni on the boundary.
+        tt, slot6 and rcm_tt are intp, the index type of take and bincount,
+        which would otherwise cast them. No interior node: MeshResourceError.
         """
         ni = len(self.interior_index)
         if ni == 0:
@@ -183,21 +182,23 @@ class Mesh:
         indptr = np.searchsorted(rows, np.arange(ni + 1)).astype(np.int32)
         graph = csr_matrix((np.ones(len(keys)), cols.astype(np.int32), indptr), shape=(ni, ni))
         perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.intp)
-        rank = np.full(self.n_nodes, -1, dtype=np.intp)  # RCM position, -1 on the boundary
-        rank[self.interior_index[perm]] = np.arange(ni)
-        r = rank[tt]
-        ri, rj = r[PAIR_I], r[PAIR_J]
+        rcm_nodes = self.interior_index[perm]
+        rank = np.full(self.n_nodes, ni, dtype=np.intp)  # RCM position, ni on the boundary
+        rank[rcm_nodes] = np.arange(ni)
+        rcm_tt = rank[tt]
+        ri, rj = rcm_tt[PAIR_I], rcm_tt[PAIR_J]
         col, off = np.minimum(ri, rj), np.abs(ri - rj)
-        inner = col >= 0
+        inner = np.maximum(ri, rj) < ni
         kd = int(off[inner].max(initial=0))
         if (kd + 1) * ni > BAND_BUDGET:
             raise MeshResourceError(f"a {kd + 1} x {ni} band exceeds {BAND_BUDGET} doubles")
         slot6 = np.where(inner, off + (kd + 1) * col, (kd + 1) * ni)
-        return (G, tt, *(_frozen(x) for x in (k6, slot6, perm)), kd, len(keys))
+        k6, slot6, perm, rcm_nodes, rcm_tt = map(_frozen, (k6, slot6, perm, rcm_nodes, rcm_tt))
+        return G, tt, k6, slot6, perm, kd, len(keys), rcm_nodes, rcm_tt
 
     def _assemble(self, values: np.ndarray) -> BandMatrix:
         """Interior-reduced band matrix from the plan's (6, M) pair values."""
-        slot6, perm, kd, nnz = self._band_plan[3:]
+        slot6, perm, kd, nnz = self._band_plan[3:7]
         n = len(perm)
         data = np.bincount(slot6.ravel(), weights=values.ravel(), minlength=(kd + 1) * n + 1)
         return BandMatrix(data[:-1].reshape(n, kd + 1).T, perm, nnz)
@@ -207,22 +208,23 @@ class Mesh:
         return self._assemble(weights * self._band_plan[2])
 
     def energy_hessian(self, gu: np.ndarray, g: np.ndarray, p: float, eps2: float, sigma=None):
-        """(Newton matrix, gradient) of (1/p) int (|grad u|^2 + eps2)^(p/2) at
-        the u whose (2, M) per-triangle gradients are gu, with squares g,
-        interior-reduced; the gradient is K(w) u for the lagged weights
-        w = (g + eps2)^((p - 2)/2), formed per triangle. The matrix is the
-        Hessian, a [w grad phi_i . grad phi_j + c q_i q_j] per triangle with
-        q_i = grad phi_i . grad u and c = (p - 2) w / (g + eps2). Given a (2, M)
-        flux sigma (primal-dual Newton), sigma is clipped in place to
-        |sigma|^2 <= w^2 (g + eps2), and c q_i q_j becomes h (r_i q_j + q_i r_j)
-        with r_i = grad phi_i . sigma and h = c / (2 w): the same at
-        sigma = w grad u, and for p < 2 each triangle's 2 x 2 tensor keeps its
-        smallest eigenvalue at or above (p - 1) w, so the matrix stays SPD.
-        None if the coefficients are not finite (wild iterate): c is finite
-        only where w is, and a non-finite sigma makes the values so. An entry
-        that overflows still gets the Newton step rejected."""
-        G, tt, k6 = self._band_plan[:3]
-        with np.errstate(over="ignore", invalid="ignore"):
+        """(Newton matrix, gradient, w, g + eps2) of (1/p) int (|grad u|^2 +
+        eps2)^(p/2) at the u whose (2, M) per-triangle gradients are gu, with
+        squares g, interior-reduced, the gradient in RCM order; the gradient is
+        K(w) u for the lagged weights w = (g + eps2)^((p - 2)/2), formed per
+        triangle. The matrix is the Hessian, a [w grad phi_i . grad phi_j +
+        c q_i q_j] per triangle with q_i = grad phi_i . grad u and
+        c = (p - 2) w / (g + eps2). Given a (2, M) flux sigma (primal-dual
+        Newton), sigma is clipped in place to |sigma|^2 <= w^2 (g + eps2), and
+        c q_i q_j becomes h (r_i q_j + q_i r_j) with r_i = grad phi_i . sigma
+        and h = c / (2 w): the same at sigma = w grad u, and for p < 2 each
+        triangle's 2 x 2 tensor keeps its smallest eigenvalue at or above
+        (p - 1) w, so the matrix stays SPD. None if the coefficients are not
+        finite (wild iterate): c is finite only where w is, and a non-finite
+        sigma makes the values so. An entry that overflows still gets the
+        Newton step rejected."""
+        G, _, k6, _, perm, _, _, _, rcm_tt = self._band_plan
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ge = g + eps2
             w = ge ** ((p - 2.0) / 2.0)
             q = np.add.reduce(G * gu[:, None], axis=0)  # (3, M): grad phi_i . grad u
@@ -231,24 +233,23 @@ class Mesh:
                 if not np.isfinite(c).all():
                     return None
                 cq = c * self.areas * q
-                values = w * k6 + cq[PAIR_I] * q[PAIR_J]
+                values = w * k6 + cq.take(PAIR_I, axis=0) * q.take(PAIR_J, axis=0)
             else:
-                ss, cap = _squares(sigma), w * w
-                cap *= ge
-                over = ss > cap
-                if over.any():
-                    sigma[:, over] *= np.sqrt(cap[over] / ss[over])
+                # |sigma|^2 <= w^2 (g + eps2) without a mask: where sigma fits, the
+                # quotient is at least 1 or NaN (0/0, inf/inf), which fmin drops
+                factor = np.divide(w * w * ge, _squares(sigma))
+                sigma *= np.sqrt(np.fmin(factor, 1.0, out=factor), out=factor)
                 r = np.add.reduce(G * sigma[:, None], axis=0)
                 ha = np.divide(self.areas, ge)
                 ha *= 0.5 * (p - 2.0)
-                values = (ha * r)[PAIR_I] * q[PAIR_J]
-                values += (ha * q)[PAIR_I] * r[PAIR_J]
+                values = (ha * r).take(PAIR_I, axis=0) * q.take(PAIR_J, axis=0)
+                values += (ha * q).take(PAIR_I, axis=0) * r.take(PAIR_J, axis=0)
                 values += w * k6
                 if not np.isfinite(values).all():
                     return None
             grad = (w * self.areas) * q
-        grad = np.bincount(tt.ravel(), weights=grad.ravel(), minlength=self.n_nodes)
-        return self._assemble(values), grad[self.interior_index]
+        grad = np.bincount(rcm_tt.ravel(), weights=grad.ravel(), minlength=len(perm) + 1)
+        return self._assemble(values), grad[:-1], w, ge  # the boundary's slot dropped
 
     def prolong(self, u_coarse: np.ndarray) -> np.ndarray:
         """Nodal values on this refined mesh of the piecewise-linear function
@@ -519,11 +520,11 @@ MAX_ITERS = 500
 NESTED_START_P_MAX = 5.0
 # Below this p, Newton steps are primal-dual (Chan, Golub and Mulet, SIAM J.
 # Sci. Comput. 20, 1999): each solve carries a per-triangle flux sigma from
-# step to step (see solve_p_torsion). A step then costs about 30 us more at
-# 860 triangles (a second cross term and the flux update), so the constant
-# is set where iterations stop falling. Primal-dual against primal steps,
-# levels-3 studies of random polygons, iterations (time): at p = 1.05 -49%
-# (-41%), 1.2 -21% (+1%), 1.3 -9% (+16%), 1.4 -2% (+23%), 1.45 +6% (+36%),
+# step to step (see solve_p_torsion). A step then costs about 19 us more at
+# 864 triangles (the clip, a second cross term, the flux update), so the
+# constant is set where iterations stop falling. Primal-dual against primal
+# steps, levels-3 studies of random polygons, iterations (time): p = 1.05
+# -49% (-41%), 1.2 -21% (+1%), 1.3 -9% (+16%), 1.4 -2% (+23%), 1.45 +6% (+36%)
 # on 40 polygons of at most 470 nodes; -55% (-57%), -24% (-25%), -22% (-28%),
 # -13% (-27%) and +4% (+4%) on 8 polygons at levels 5 (6.4k-7.1k nodes).
 PRIMAL_DUAL_P_MAX = 1.45
@@ -592,18 +593,16 @@ def _ray_priced(mesh: Mesh, g: np.ndarray, f: float, p: float, eps2: float):
     return _energy(mesh, g, f, p, eps2), 1.0
 
 
-def _flux_step(sigma, gu, gd, g, eps2, p, lam, s):
+def _flux_step(sigma, gu, gd, w, ge, p, lam, s):
     """(2, M) flux after an accepted Newton step u <- s (u + lam d), from the
     flux sigma at u (None: the primal flux w gu). The full step solves the
     flux relation (g + eps2)^((2 - p)/2) sigma = grad u linearized at
     (u, sigma) in d, per triangle:
     full = w (gu + gd) - ((2 - p)/(g + eps2)) (gu . gd) sigma, with
     w = (g + eps2)^((p - 2)/2); the result is s^(p - 1) [(1 - lam) sigma +
-    lam full], s^(p - 1) scaling the flux of u to that of s u. gu and gd
-    are the gradients of u and d, g the squares of gu."""
+    lam full], s^(p - 1) scaling the flux of u to that of s u. gu and gd are
+    the gradients of u and d; w and ge = g + eps2 are energy_hessian's at u."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ge = g + eps2
-        w = ge ** ((p - 2.0) / 2.0)
         if sigma is None:
             sigma = w * gu
         # s^(p-1) [(1 - lam) sigma + lam full] = coef sigma + c2 w (gu + gd)
@@ -655,18 +654,18 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray, flux=None) -> Torsi
     iterations raises ConvergenceError carrying its last iterate.
     """
     _check_p(p)
-    interior = mesh.interior_index
     load = mesh.load_vector
-    b_int = load[interior]
+    rcm_nodes = mesh._band_plan[7]
+    b_rcm = load[rcm_nodes]  # linear systems are solved in RCM order
 
-    def nodal(x_int: np.ndarray) -> np.ndarray:
+    def nodal(x: np.ndarray) -> np.ndarray:
         out = np.zeros(mesh.n_nodes)
-        out[interior] = x_int
+        out[rcm_nodes] = x
         return out
 
     def linear_solve(weights: np.ndarray) -> np.ndarray:
         try:
-            return nodal(spsolve(mesh.stiffness(weights), b_int))
+            return nodal(spsolve(mesh.stiffness(weights), b_rcm))
         except LinAlgError as exc:
             raise ConvergenceError(f"p-torsion solve (p={p}): {exc}") from exc
 
@@ -692,8 +691,9 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray, flux=None) -> Torsi
             gd = mesh.gradient_field(d)
             for _ in range(40):
                 trials += 1
-                gc = gu + lam * gd
-                j_c, s = _ray_priced(mesh, _squares(gc), f_u + lam * f_d, p, eps2)
+                # at lam = 1 the products by lam are exact, so they are skipped
+                gc, f_c = (gu + gd, f_u + f_d) if lam == 1.0 else (gu + lam * gd, f_u + lam * f_d)
+                j_c, s = _ray_priced(mesh, _squares(gc), f_c, p, eps2)
                 if j_c <= j_cur + 1e-12 * abs(j_cur):
                     break
                 lam *= 0.5
@@ -707,16 +707,16 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray, flux=None) -> Torsi
         return linear_solve(np.exp(np.maximum(w_log - w_log.max(), LOG_WEIGHT_FLOOR)))
 
     def newton_direction(gu, g, eps2, sigma):
-        # Newton direction of the regularized energy, or None if the Hessian
-        # is not finite or not positive definite, or the direction is not finite
-        hess_grad = mesh.energy_hessian(gu, g, p, eps2, sigma)
-        if hess_grad is None:
+        # (Newton direction of the regularized energy, w, g + eps2), or None if the
+        # Hessian is not finite or not positive definite, or the direction is not finite
+        system = mesh.energy_hessian(gu, g, p, eps2, sigma)
+        if system is None:
             return None
         try:
-            d_int = spsolve(hess_grad[0], b_int - hess_grad[1])
+            x = spsolve(system[0], b_rcm - system[1])
         except LinAlgError:
             return None
-        return nodal(d_int) if np.all(np.isfinite(d_int)) else None
+        return (nodal(x), *system[2:]) if np.isfinite(x).all() else None
 
     # gu and g, the gradients of u and their squares, are recomputed from
     # each accepted point: updated along with u, they would drift
@@ -737,11 +737,11 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray, flux=None) -> Torsi
     newton_steps = lagged_steps = 0
     while iterations < MAX_ITERS:
         accepted = None
-        d = newton_direction(gu, g, eps2, sigma)
-        if d is not None:
+        step = newton_direction(gu, g, eps2, sigma)
+        if step is not None:
             iterations += 1
             newton_steps += 1
-            accepted = search(u, gu, f, d, lam0, j_cur, eps2)
+            accepted = search(u, gu, f, step[0], lam0, j_cur, eps2)
         newton = accepted is not None
         if not newton:
             if iterations >= MAX_ITERS:
@@ -756,7 +756,7 @@ def solve_p_torsion(mesh: Mesh, p: float, start: np.ndarray, flux=None) -> Torsi
         u, lam, s, gd = accepted
         lam0 = 1.0 if lam == lam0 else min(1.0, 2.0 * lam)
         if newton and primal_dual:
-            sigma = _flux_step(sigma, gu, gd, g, eps2, p, lam, s)
+            sigma = _flux_step(sigma, gu, gd, step[1], step[2], p, lam, s)
         else:
             sigma = None  # a lagged step resets the flux to the primal one
         f = float(load @ u)

@@ -396,6 +396,14 @@ def test_oversized_spec_input_error(capsys, spec, message):
     assert "Traceback" not in err
 
 
+def test_overflowing_spec_input_error(capsys):
+    # the squared distances of these vertices overflow, so the diameter is inf
+    spec = '{"kind":"polygon","vertices":[[0,0],[1e160,0],[0,1e160]]}'
+    code, _, err = run_cli(capsys, "cheeger", "--spec", spec)
+    assert code == 1
+    assert err == "input error: the vertex coordinates are too large: the diameter overflows\n"
+
+
 _STAR_ANGLES = 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5
 PENTAGRAM_SPEC = json.dumps(
     {"kind": "polygon", "vertices": np.stack([np.cos(_STAR_ANGLES), np.sin(_STAR_ANGLES)], 1).tolist()}

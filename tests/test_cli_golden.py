@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from torsionlab import cli
 from torsionlab.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -69,6 +70,24 @@ def test_cli_stdout_matches_golden(name):
     assert run_stdout(COMMANDS[name]) == expected, (
         f"stdout of {' '.join(COMMANDS[name])} differs from golden/{name}.txt"
     )
+
+
+def test_one_parser_serves_every_command(monkeypatch):
+    # main builds its parser once per process; a command with a non-default
+    # --p between two runs of a golden command leaves that command's output
+    build, built = cli.build_parser, []
+
+    def counting():
+        built.append(True)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    expected = (GOLDEN_DIR / "limits_small_p.txt").read_text()
+    assert run_stdout(COMMANDS["limits_small_p"]) == expected
+    run_stdout(["shape", "--spec", '{"kind":"random","seed":[1,0]}', "--p", "1.5,3", "--levels", "2"])
+    assert run_stdout(COMMANDS["limits_small_p"]) == expected
+    assert len(built) == 1
 
 
 if __name__ == "__main__":

@@ -102,6 +102,20 @@ def test_winding_polygon_rejected():
     assert np.isclose(ConvexPolygon(PENTAGRAM[[0, 3, 1, 4, 2]]).area, make_regular_ngon(5).area)
 
 
+def test_overflowing_diameter_rejected():
+    # squared vertex distances past 1.8e308 make the diameter inf: the
+    # polygon is refused for its size, not for coinciding vertices
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for build in (
+            lambda: scale(random_convex_polygon(3, 12), 1e160),
+            lambda: ConvexPolygon([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]]),
+        ):
+            with pytest.raises(InvalidDomainError, match="coordinates are too large"):
+                build()
+    assert scale(random_convex_polygon(3, 12), 1e150).diameter < math.inf
+
+
 def test_diameter_is_max_pair_distance():
     # bit for bit the largest distance over all vertex pairs
     polys = [random_convex_polygon(seed, 5 + 13 * seed) for seed in range(8)]

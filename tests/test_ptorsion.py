@@ -192,15 +192,16 @@ def test_band_assembly_matches_dense_reference():
                     k_w = w[:, None, None] * _unit_blocks(mesh)
                     k_c = (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
                     label = (poly, lvl, p, eps_rel)
-                    hess, grad = mesh.energy_hessian(gu, g, p, eps2)
+                    hess, grad = mesh.energy_hessian(gu, g, p, eps2)[:2]
                     _assert_matches_reference(
                         hess, k_w + k_c, mesh, label, np.abs(k_w) + np.abs(k_c)
                     )
-                    # the matrix-free gradient is K(w) u
+                    # the matrix-free gradient is K(w) u, in the matrix's RCM order
                     k_ref, k_mag, _ = _dense_reference(mesh, k_w)
                     u_int = u[mesh.interior_index]
                     bound = 64 * np.finfo(float).eps * (k_mag @ np.abs(u_int))
-                    assert np.all(np.abs(grad - k_ref @ u_int) <= bound), label
+                    err = np.abs(grad - (k_ref @ u_int)[hess.perm])
+                    assert np.all(err <= bound[hess.perm]), label
 
 
 def _hessian_setup(poly, rng, p, eps_rel):
@@ -237,7 +238,7 @@ def test_primal_dual_matrix_is_spd_for_any_flux():
                 for size in (1e-6, 0.5, 1.0, 2.0, 1e6, 1e100):
                     label = (poly, p, eps_rel, size)
                     sigma = size * w * np.sqrt(ge) * rng.standard_normal((2, mesh.n_triangles))
-                    hess, _ = mesh.energy_hessian(gu, g, p, eps2, sigma)
+                    hess = mesh.energy_hessian(gu, g, p, eps2, sigma)[0]
                     assert np.all(np.sum(sigma * sigma, axis=0) <= (1 + 1e-14) * w * w * ge)
                     a = _tensors(w, h, sigma, gu)
                     lam_min = np.linalg.eigvalsh(a)[:, 0]
@@ -254,6 +255,50 @@ def test_primal_dual_matrix_is_spd_for_any_flux():
                     assert np.linalg.eigvalsh(rest)[0] >= -1e-12 * np.abs(dense).max(), label
 
 
+def _masked_clip(sigma, cap):
+    """The flux clip in its masked form: only the triangles with
+    |sigma|^2 > cap are scaled, by sqrt(cap / |sigma|^2)."""
+    ss = sigma[0] * sigma[0] + sigma[1] * sigma[1]
+    over = ss > cap
+    if over.any():
+        sigma[:, over] *= np.sqrt(cap[over] / ss[over])
+
+
+def test_flux_clip_identity_with_the_masked_form():
+    # energy_hessian scales every triangle's flux by sqrt(fmin(cap / |sigma|^2,
+    # 1)), cap = w^2 (g + eps2), with no mask: bit for bit what the masked form
+    # leaves, with no warning, for random fluxes and squares and for every
+    # pairing of flux components 0, -0, 1, +-inf, NaN, tiny and huge with
+    # squares g that make cap 0, inf or NaN at p = 1.01, 1.2 and 32 (eps2 = 0)
+    rng = np.random.default_rng(16)
+    mesh = triangulate(SQUARE, 0.05)
+    m = mesh.n_triangles
+    parts = (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 1e200, 1e-200)
+    pairs = np.array([(a, b) for a in parts for b in parts]).T
+    squares = (0.0, math.inf, 5e-324, 1e-320, 1e-11, 1e11)
+    k = pairs.shape[1] * len(squares)
+    assert m > 2 * k
+    caps = set()
+    for p in (1.01, 1.2, 32.0):
+        g = np.exp(6.0 * rng.standard_normal(m))
+        g[:k] = np.repeat(squares, pairs.shape[1])
+        sigma = rng.standard_normal((2, m)) * np.exp(3.0 * rng.standard_normal(m))
+        sigma[:, :k] = np.tile(pairs, len(squares))
+        masked = sigma.copy()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = g ** ((p - 2.0) / 2.0)
+            cap = w * w * g
+            _masked_clip(masked, cap)
+            clipped = np.count_nonzero(masked[0, k:] != sigma[0, k:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mesh.energy_hessian(np.zeros((2, m)), g, p, 0.0, sigma)
+        assert sigma.tobytes() == masked.tobytes(), p
+        assert 0 < clipped < m - k, p  # random triangles on both sides of the cap
+        caps |= {str(c) for c in cap[:k] if not 0.0 < c < math.inf}
+    assert caps == {"0.0", "inf", "nan"}
+
+
 def test_primal_dual_matrix_at_the_primal_flux_is_the_hessian():
     # at sigma = w grad u the primal-dual matrix is the Hessian, up to
     # rounding, and the gradient is the same
@@ -263,8 +308,8 @@ def test_primal_dual_matrix_at_the_primal_flux_is_the_hessian():
             for eps_rel in (1e-2, 1e-10):
                 mesh, gu, g, eps2, w, ge = _hessian_setup(poly, rng, p, eps_rel)
                 sigma = w * gu
-                pd, pd_grad = mesh.energy_hessian(gu, g, p, eps2, sigma.copy())
-                hess, grad = mesh.energy_hessian(gu, g, p, eps2)
+                pd, pd_grad = mesh.energy_hessian(gu, g, p, eps2, sigma.copy())[:2]
+                hess, grad = mesh.energy_hessian(gu, g, p, eps2)[:2]
                 assert np.array_equal(pd_grad, grad) and np.array_equal(pd.perm, hess.perm)
                 assert pd.ab.shape == hess.ab.shape and pd.nnz == hess.nnz
                 q = np.einsum("mij,jm->mi", _grads(mesh), gu)
@@ -324,7 +369,7 @@ def test_band_entries_match_block_assembly_bitwise():
                     c = (p - 2.0) * w / (g + eps2)
                     blocks = w[:, None, None] * _unit_blocks(mesh)
                     blocks += (c * mesh.areas)[:, None, None] * q[:, :, None] * q[:, None, :]
-                    hess, _ = mesh.energy_hessian(gu, g, p, eps2)
+                    hess = mesh.energy_hessian(gu, g, p, eps2)[0]
                     assert hess.ab.tobytes() == _block_band(mesh, blocks).tobytes(), (p, eps_rel)
 
 
@@ -364,10 +409,14 @@ def test_band_solve_matches_dense_solve():
     a = mesh.stiffness(1.0 + rng.random(mesh.n_triangles))
     dense = _band_to_dense(a)
     rhs = rng.standard_normal(len(a.perm))
-    x_ref = np.linalg.solve(dense, rhs)
-    x = spsolve(a, rhs)
+    x_ref = np.linalg.solve(dense, rhs)[a.perm]  # in the band's RCM order
+    rhs = rhs[a.perm]
+    x = spsolve(a, rhs.copy())
     assert a.ab is None  # factored in place and given up
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    kept = rhs.copy()
+    spsolve(mesh.stiffness(np.ones(mesh.n_triangles)), rhs)
+    assert np.array_equal(rhs, kept)  # the right-hand side is not overwritten
 
 
 def test_indefinite_band_matrix_raises():
@@ -408,9 +457,9 @@ def test_rejected_newton_solve_falls_back_to_lagged_steps(monkeypatch):
     hessian = Mesh.energy_hessian
 
     def indefinite_hessian(self, gu, g, p, eps2, sigma=None):
-        hess, grad = hessian(self, gu, g, p, eps2, sigma)
-        hess.ab[0] *= -1.0  # negative diagonal: LAPACK rejects every Newton system
-        return hess, grad
+        system = hessian(self, gu, g, p, eps2, sigma)
+        system[0].ab[0] *= -1.0  # negative diagonal: LAPACK rejects every Newton system
+        return system
 
     monkeypatch.setattr(Mesh, "energy_hessian", indefinite_hessian)
     sol = solve_p_torsion(mesh, 3.0, start)
@@ -720,7 +769,7 @@ def test_shared_mesh_arrays_are_read_only():
         mesh.interior_index, mesh.parent_edges,
     ]
     arrays += [a for a in mesh._band_plan if isinstance(a, np.ndarray)]
-    assert len(arrays) == 12
+    assert len(arrays) == 14
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = a.flat[0]
@@ -730,8 +779,8 @@ def test_band_plan_indices_are_intp():
     # take and bincount index with intp; indices of another type are cast on
     # every call
     mesh = triangulate(random_convex_polygon([41, 2]), 0.2)
-    tt, slot6 = mesh._band_plan[1], mesh._band_plan[3]
-    assert tt.dtype == slot6.dtype == np.intp
+    tt, slot6, rcm_tt = mesh._band_plan[1], mesh._band_plan[3], mesh._band_plan[8]
+    assert tt.dtype == slot6.dtype == rcm_tt.dtype == np.intp
     assert tt.flags.c_contiguous and np.array_equal(tt, mesh.triangles.T)
 
 
@@ -854,6 +903,13 @@ def test_setup_identity_of_band_plan(identity_meshes):
         assert np.array_equal(plan[4], perm), (poly, lvl)
         assert plan[5] == kd and plan[6] == nnz, (poly, lvl)
         assert np.array_equal(plan[3], slot6), (poly, lvl)
+        # the interior nodes in RCM order, and each triangle's vertices as
+        # RCM positions, ni on the boundary
+        ni = len(perm)
+        assert np.array_equal(plan[7], mesh.interior_index[perm]), (poly, lvl)
+        position = {node: k for k, node in enumerate(plan[7].tolist())}
+        ranks = [[position.get(v, ni) for v in tri] for tri in mesh.triangles.tolist()]
+        assert np.array_equal(plan[8], np.array(ranks).T), (poly, lvl)
 
 
 def test_setup_identity_of_mesh_geometry(identity_meshes):
@@ -1348,24 +1404,23 @@ def test_flux_step_solves_the_linearized_flux_relation():
     ge = g + eps2
     w = ge ** ((p - 2.0) / 2.0)
     sigma = 3.0 * w * rng.standard_normal((2, 50))
-    full = ptorsion._flux_step(sigma.copy(), gu, gd, g, eps2, p, 1.0, 1.0)
+
+    def step(sigma, gd, lam, s):
+        # w and ge are the Newton system's; the step overwrites w
+        return ptorsion._flux_step(sigma, gu, gd, w.copy(), ge, p, lam, s)
+
+    full = step(sigma.copy(), gd, 1.0, 1.0)
     rhs = w * (gu + gd) - (2.0 - p) / ge * np.einsum("jm,jm->m", gu, gd) * sigma
     assert np.allclose(full, rhs, rtol=1e-13, atol=1e-13 * np.abs(rhs).max())
-    mixed = ptorsion._flux_step(sigma.copy(), gu, gd, g, eps2, p, 0.25, 3.0)
+    mixed = step(sigma.copy(), gd, 0.25, 3.0)
     assert np.allclose(mixed, 3.0 ** (p - 1.0) * (0.75 * sigma + 0.25 * full), rtol=1e-13)
 
     def flux(t):
         gt = gu + t * gd
         return (np.einsum("jm,jm->m", gt, gt) + eps2) ** ((p - 2.0) / 2.0) * gt
 
-    assert np.array_equal(
-        ptorsion._flux_step(None, gu, gd, g, eps2, p, 0.5, 2.0),
-        ptorsion._flux_step(flux(0.0), gu, gd, g, eps2, p, 0.5, 2.0),
-    )
-    errs = [
-        np.abs(ptorsion._flux_step(None, gu, t * gd, g, eps2, p, 1.0, 1.0) - flux(t)).max()
-        for t in (1e-2, 1e-3)
-    ]
+    assert np.array_equal(step(None, gd, 0.5, 2.0), step(flux(0.0), gd, 0.5, 2.0))
+    errs = [np.abs(step(None, t * gd, 1.0, 1.0) - flux(t)).max() for t in (1e-2, 1e-3)]
     assert errs[1] <= errs[0] / 50.0  # second order in t
 
 
